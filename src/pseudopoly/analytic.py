@@ -42,6 +42,8 @@ class Hedgehog:
         pts = tuple(complex(z) for z in self.endpoints)
         object.__setattr__(self, "endpoints", pts)
         for z in pts:
+            if not cmath.isfinite(z):
+                raise InputError(f"hedgehog endpoint {z} is not finite")
             if z == 0:
                 raise InputError("hedgehog endpoints must be nonzero")
         args = [cmath.phase(z) for z in pts]

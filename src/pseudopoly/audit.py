@@ -52,6 +52,10 @@ class AuditConfig:
     residual_tol: float = 1e-9
     direction_tol: float = 1e-6
 
+    def __post_init__(self):
+        if not math.isfinite(self.growth_bound):
+            raise InputError("growth_bound must be finite")
+
 
 @dataclass(frozen=True)
 class AuditReport:

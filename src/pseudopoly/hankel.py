@@ -4,13 +4,24 @@ rational-function reconstruction.
 
 The determinant of the order-n Hankel matrix of an integer sequence is an
 integer, and for congruence-preserving sequences it is divisible by the
-product over primes p <= n-1 of p^(n-p).  Rationality detection uses the
-classical criterion that a power series is rational iff almost all of its
-Hankel determinants vanish, made finite by a trailing zero-window rule.
+product over primes p <= n-1 of p^(n-p).  Every determinant is one
+fraction-free Bareiss elimination over the integers (Bareiss 1968); a
+rational prefix is first scaled by the lcm D of its denominators, since
+det H_n(a) = det H_n(D a) / D^n.
+
+Rationality detection uses the classical criterion that a power series is
+rational iff almost all of its Hankel determinants vanish, made finite by a
+trailing zero-window rule.  The minimal recurrence comes from one
+Berlekamp-Massey pass over the rationals (Massey 1969), which returns the
+linear complexity L of the prefix and the recurrence coefficients.  It is
+used only when N >= 2L + window; then N >= 2L, and Massey shows that the
+shortest recurrence is unique, so the reconstruction does not depend on how
+the recurrence was found.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -174,26 +185,10 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _rational_det(rows: list[list]) -> Fraction:
-    """Exact Gaussian-elimination determinant over the rationals."""
-    n = len(rows)
-    m = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / pivot
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return det
+def _clear_denominators(terms) -> tuple[list[int], int]:
+    """The integers D*a for the lcm D of the terms' denominators, and D."""
+    scale = math.lcm(*(t.denominator for t in terms))
+    return [t.numerator * (scale // t.denominator) for t in terms], scale
 
 
 def hankel_determinant(seq: ExactSequence, n: int) -> Exact:
@@ -208,7 +203,8 @@ def hankel_determinant(seq: ExactSequence, n: int) -> Exact:
         )
     if seq.is_integer:
         return _bareiss_det(_hankel_rows(seq.integer_terms(), n))
-    return _rational_det(_hankel_rows(list(seq.terms), n))
+    scaled, scale = _clear_denominators(seq.terms[: 2 * n - 1])
+    return Fraction(_bareiss_det(_hankel_rows(scaled, n)), scale**n)
 
 
 def padic_valuation(x: int, p: int) -> int | float:
@@ -280,11 +276,7 @@ def normalized_det_growth(seq: ExactSequence, n_max: int) -> list[float | None]:
     Zero determinants are reported as absent rather than 0 so that trend
     inspection tracks the nonzero subsequence.
     """
-    out = []
-    for n in range(1, n_max + 1):
-        det = hankel_determinant(seq, n)
-        out.append(None if det == 0 else math.exp(log_abs_exact(det) / (n * n)))
-    return out
+    return [r.normalized_growth for r in hankel_table(seq, n_max)]
 
 
 def _conjugate_by_lower_triangular(l_rows: list[list], h_rows: list[list]) -> list[list]:
@@ -330,72 +322,54 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
         raise InputError(
             f"n_max must be in 1..{max_order(seq)} for a prefix of length {len(seq)}"
         )
-    if seq.is_integer:
-        a = seq.integer_terms()
-        b = binomial_transform(seq).integer_terms()
-        det = _bareiss_det
-    else:
-        a = [Fraction(t) for t in seq.terms]
-        b = [Fraction(t) for t in binomial_transform(seq).terms]
-        det = _rational_det
+    if not seq.is_integer:
+        # both checks are homogeneous, so scaling by the lcm of the
+        # denominators changes neither outcome
+        seq = ExactSequence(tuple(_clear_denominators(seq.terms)[0]))
+    a = seq.integer_terms()
+    b = binomial_transform(seq).integer_terms()
     for n in range(1, n_max + 1):
         h_f = _hankel_rows(a, n)
         h_g = _hankel_rows(b, n)
         conjugated = _conjugate_by_lower_triangular(lower_triangular_rows(n), h_f)
         if conjugated != h_g:
             return InvarianceReport(False, n_max, (n, "entrywise"))
-        if det(h_f) != det(h_g):
+        if _bareiss_det(h_f) != _bareiss_det(h_g):
             return InvarianceReport(False, n_max, (n, "determinant"))
     return InvarianceReport(True, n_max, None)
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve rows @ x = rhs over the rationals; None if inconsistent.
+def _berlekamp_massey(terms: list[Fraction]) -> list[Fraction]:
+    """Coefficients c of the shortest recurrence a_n = sum c_i a_{n-i}
+    (i = 1..L) that holds on all of n = L..N-1; L = len(c) is the linear
+    complexity of the prefix.
 
-    Underdetermined systems get free variables set to 0 (deterministic).
+    One Berlekamp-Massey pass over the rationals (Massey 1969).  ``conn``
+    is the connection polynomial 1 - c_1 x - ... - c_L x^L, kept with
+    exactly L + 1 entries; ``prev`` is the one in force before the last
+    length change, ``prev_disc`` its discrepancy and ``shift`` the steps
+    taken since.
     """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    m = [rows[i][:] + [rhs[i]] for i in range(n_rows)]
-    pivots = []
-    r = 0
-    for col in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
-        if pivot_row is None:
+    conn = [Fraction(1)]
+    prev = [Fraction(1)]
+    prev_disc = Fraction(1)
+    length = 0
+    shift = 1
+    for n in range(len(terms)):
+        disc = sum(map(operator.mul, conn, terms[n::-1]))
+        if disc == 0:
+            shift += 1
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [u - f * v for u, v in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    for i in range(r, n_rows):
-        if m[i][n_cols] != 0:
-            return None
-    x = [Fraction(0)] * n_cols
-    for row_idx, col in enumerate(pivots):
-        x[col] = m[row_idx][n_cols]
-    return x
-
-
-def _recurrence_coefficients(terms: list[Fraction], r: int) -> list[Fraction] | None:
-    """Coefficients c with a_n = sum c_i a_{n-i} on all of n = r..N-1, or None."""
-    if r == 0:
-        return [] if all(t == 0 for t in terms) else None
-    rows = [[terms[n - i] for i in range(1, r + 1)] for n in range(r, len(terms))]
-    rhs = [terms[n] for n in range(r, len(terms))]
-    sol = _solve_exact(rows, rhs)
-    if sol is None:
-        return None
-    for n in range(r, len(terms)):
-        if sum(sol[i - 1] * terms[n - i] for i in range(1, r + 1)) != terms[n]:
-            raise InternalInvariantError("recurrence solver returned a non-solution")
-    return sol
+        scale = disc / prev_disc
+        updated = conn + [Fraction(0)] * (len(prev) + shift - len(conn))
+        for i, c in enumerate(prev):
+            updated[i + shift] -= scale * c
+        if 2 * length <= n:
+            length, prev, prev_disc, shift = n + 1 - length, conn, disc, 1
+        else:
+            shift += 1
+        conn = updated
+    return [-c for c in conn[1:]]
 
 
 def _reconstruct(terms: list[Fraction], coeffs: list[Fraction]) -> RationalFunction:
@@ -427,13 +401,17 @@ def _reconstruct(terms: list[Fraction], coeffs: list[Fraction]) -> RationalFunct
 def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetection:
     """Decide, from a finite prefix, whether the sequence looks rational.
 
-    The decision rule: a minimal constant-coefficient recurrence of some
-    order r with 2r + window <= N must fit the entire prefix, and the
-    Hankel determinants must vanish for the last ``window`` observable
-    orders.  On success the recurrence is turned into a numerator /
-    denominator pair that is re-expanded and checked against the prefix
-    exactly.  Absence of detection is a normal outcome; the determinant
-    evidence is returned either way.
+    The decision rule: the minimal constant-coefficient recurrence that
+    fits the entire prefix must have an order r with 2r + window <= N, and
+    the Hankel determinants must vanish for the last ``window`` observable
+    orders.  Berlekamp-Massey finds that recurrence in one pass over the
+    rationals; since N >= 2r + window > 2r, it is the unique recurrence of
+    order r on the prefix.  Rational input needs no special case: the
+    determinants clear denominators, and the recurrence is found over Q.
+    On success the recurrence is turned into a numerator / denominator pair
+    that is re-expanded and checked against the prefix exactly.  Absence of
+    detection is a normal outcome; the determinant evidence is returned
+    either way.
     """
     if window < 1:
         raise InputError("window must be >= 1")
@@ -451,13 +429,14 @@ def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetect
         if d != 0:
             break
         zero_run += 1
-    coeffs = None
-    for r in range(0, (n_terms - window) // 2 + 1):
-        sol = _recurrence_coefficients(terms, r)
-        if sol is not None:
-            coeffs = sol
-            break
+    coeffs = _berlekamp_massey(terms)
+    order = len(coeffs)
+    for n in range(order, n_terms):
+        if sum(map(operator.mul, coeffs, terms[n - 1 :: -1])) != terms[n]:
+            raise InternalInvariantError(
+                "Berlekamp-Massey recurrence does not reproduce the prefix"
+            )
     function = None
-    if coeffs is not None and all(d == 0 for d in det_table[-window:]):
+    if 2 * order + window <= n_terms and all(d == 0 for d in det_table[-window:]):
         function = _reconstruct(terms, coeffs)
     return RationalityDetection(function, det_table, zero_run, window)

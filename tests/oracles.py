@@ -1,0 +1,112 @@
+"""Slow reference implementations kept as test oracles.
+
+The library finds recurrences with one Berlekamp-Massey pass and computes
+rational Hankel determinants by clearing denominators before an integer
+Bareiss elimination.  The routines below are the direct methods those
+replaced: a Gauss-Jordan solve over the rationals for every candidate
+recurrence order, and Gaussian elimination over the rationals.  The
+property tests compare the fast paths against them.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from pseudopoly import ExactSequence, InternalInvariantError, max_order
+from pseudopoly.hankel import RationalFunction, _reconstruct
+
+
+def rational_det(rows: list[list]) -> Fraction:
+    """Exact Gaussian-elimination determinant over the rationals."""
+    n = len(rows)
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            det = -det
+        pivot = m[k][k]
+        det *= pivot
+        for i in range(k + 1, n):
+            if m[i][k] != 0:
+                f = m[i][k] / pivot
+                for j in range(k, n):
+                    m[i][j] -= f * m[k][j]
+    return det
+
+
+def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Solve rows @ x = rhs over the rationals; None if inconsistent.
+
+    Underdetermined systems get free variables set to 0 (deterministic).
+    """
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    m = [rows[i][:] + [rhs[i]] for i in range(n_rows)]
+    pivots = []
+    r = 0
+    for col in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [u - f * v for u, v in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    for i in range(r, n_rows):
+        if m[i][n_cols] != 0:
+            return None
+    x = [Fraction(0)] * n_cols
+    for row_idx, col in enumerate(pivots):
+        x[col] = m[row_idx][n_cols]
+    return x
+
+
+def recurrence_coefficients(terms: list[Fraction], r: int) -> list[Fraction] | None:
+    """Coefficients c with a_n = sum c_i a_{n-i} on all of n = r..N-1, or None."""
+    if r == 0:
+        return [] if all(t == 0 for t in terms) else None
+    rows = [[terms[n - i] for i in range(1, r + 1)] for n in range(r, len(terms))]
+    rhs = [terms[n] for n in range(r, len(terms))]
+    sol = solve_exact(rows, rhs)
+    if sol is None:
+        return None
+    for n in range(r, len(terms)):
+        if sum(sol[i - 1] * terms[n - i] for i in range(1, r + 1)) != terms[n]:
+            raise InternalInvariantError("recurrence solver returned a non-solution")
+    return sol
+
+
+def recurrence_by_order_search(terms: list[Fraction], window: int) -> list[Fraction] | None:
+    """The recurrence of the first order r with 2r + window <= N that fits
+    the whole prefix, trying every order in turn; None if there is none."""
+    for r in range(0, (len(terms) - window) // 2 + 1):
+        sol = recurrence_coefficients(terms, r)
+        if sol is not None:
+            return sol
+    return None
+
+
+def detect_function(seq: ExactSequence, window: int) -> RationalFunction | None:
+    """The rational function that the order-by-order search detects: a
+    recurrence within the order bound and ``window`` trailing zero Hankel
+    determinants, the latter by rational elimination."""
+    terms = [Fraction(t) for t in seq.terms]
+    coeffs = recurrence_by_order_search(terms, window)
+    top = max_order(seq)
+    trailing = [
+        rational_det([[terms[i + j] for j in range(n)] for i in range(n)])
+        for n in range(top - window + 1, top + 1)
+    ]
+    if coeffs is None or any(trailing):
+        return None
+    return _reconstruct(terms, coeffs)

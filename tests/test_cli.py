@@ -173,6 +173,13 @@ class TestThetaAndCapacity:
     def test_bad_endpoint_is_input_error(self, capsys):
         assert run_cli(["capacity", "bound", "--endpoints", "1,spam"]) == 2
 
+    @pytest.mark.parametrize("endpoints", ["nan", "inf,1j"])
+    def test_non_finite_endpoint_is_input_error(self, endpoints, capsys):
+        assert run_cli(["capacity", "bound", "--endpoints", endpoints]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestAuditCommand:
     def test_polynomial_sequence(self, tmp_path, capsys):
@@ -197,6 +204,13 @@ class TestAuditCommand:
         path = write_sequence(tmp_path, "pow2.txt", [2**n for n in range(12)])
         assert run_cli(["audit", "--input", path]) == 1
         assert json.loads(capsys.readouterr().out)["verdict"] == "congruence_violation"
+
+    def test_non_finite_growth_bound_is_input_error(self, tmp_path, capsys):
+        path = write_sequence(tmp_path, "sq.txt", [n * n for n in range(12)])
+        assert run_cli(["audit", "--input", path, "--growth-bound", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_byte_identical_reports(self, tmp_path, capsys):
         path = write_sequence(tmp_path, "seq.txt", [n * n for n in range(16)])

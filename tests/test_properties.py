@@ -1,0 +1,111 @@
+"""Property tests: the fast exact paths against their slow oracles.
+
+Rationality detection (one Berlekamp-Massey pass) is compared with the
+order-by-order recurrence search, and cleared-denominator Bareiss
+determinants with Gaussian elimination over the rationals.
+"""
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import detect_function, rational_det, recurrence_by_order_search
+from pseudopoly import (
+    ExactSequence,
+    detect_rationality,
+    generate_hall_like,
+    generate_primary,
+    hankel_determinant,
+    verify_transform_invariance,
+)
+from pseudopoly.hankel import _berlekamp_massey
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+small_ints = st.integers(-10**6, 10**6)
+fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+
+@st.composite
+def c_finite(draw, values):
+    """A prefix of an order-k recurrence with coefficients from ``values``;
+    short prefixes reach the acceptance bound N = 2k + window."""
+    order = draw(st.integers(1, 6))
+    coeffs = draw(st.lists(values, min_size=order, max_size=order))
+    terms = draw(st.lists(values, min_size=order, max_size=order))
+    length = max(4, 2 * order + draw(st.integers(1, 20)))
+    while len(terms) < length:
+        terms.append(sum(c * terms[-1 - i] for i, c in enumerate(coeffs)))
+    return terms
+
+
+@st.composite
+def primary_or_hall(draw):
+    length = draw(st.integers(12, 22))
+    if draw(st.booleans()):
+        support = draw(st.integers(1, length))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=support, max_size=support))
+        return list(generate_primary(coeffs + [0] * (length - support), length))
+    perturbation = draw(st.lists(st.integers(-2, 2), min_size=length, max_size=length))
+    return list(generate_hall_like(length, perturbation))
+
+
+prefixes = st.one_of(
+    st.lists(small_ints, min_size=12, max_size=22),
+    st.lists(fractions, min_size=12, max_size=22),
+    st.lists(st.sampled_from([0, 0, 0, 1, -1]), min_size=12, max_size=22),
+    c_finite(st.integers(-3, 3)),
+    c_finite(fractions),
+    primary_or_hall(),
+)
+
+
+@PROPERTY
+@given(prefixes, st.integers(1, 5))
+@example([0, 1, 1, 2, 3], 1)  # N = 2L + window exactly: accepted
+@example([0] * 7 + [1], 3)  # zero window, but L = N is past the order bound
+def test_detection_matches_order_search(terms, window):
+    seq = ExactSequence.of(terms)
+    window = min(window, (len(seq) - 2) // 2)
+    exact = [Fraction(t) for t in seq.terms]
+    coeffs = _berlekamp_massey(exact)
+    searched = recurrence_by_order_search(exact, window)
+    if searched is None:
+        assert 2 * len(coeffs) + window > len(exact)
+    else:
+        assert coeffs == searched
+    detection = detect_rationality(seq, window)
+    assert detection.function == detect_function(seq, window)
+
+
+@PROPERTY
+@given(st.lists(fractions, min_size=1, max_size=13), st.integers(1, 7))
+def test_rational_determinant_matches_elimination(terms, n):
+    n = min(n, (len(terms) + 1) // 2)
+    seq = ExactSequence.of(terms)
+    rows = [[terms[i + j] for j in range(n)] for i in range(n)]
+    det = hankel_determinant(seq, n)
+    assert det == rational_det(rows)
+    if not seq.is_integer:
+        assert isinstance(det, Fraction)
+
+
+@PROPERTY
+@given(st.lists(small_ints, min_size=1, max_size=13), st.integers(1, 7))
+def test_integer_bareiss_matches_elimination(terms, n):
+    n = min(n, (len(terms) + 1) // 2)
+    rows = [[terms[i + j] for j in range(n)] for i in range(n)]
+    det = hankel_determinant(ExactSequence.of(terms), n)
+    assert isinstance(det, int)
+    assert det == rational_det(rows)
+
+
+@PROPERTY
+@given(st.lists(fractions, min_size=1, max_size=25))
+def test_transform_invariance_holds_on_fractions(terms):
+    seq = ExactSequence.of(terms)
+    n_max = (len(seq) + 1) // 2
+    report = verify_transform_invariance(seq, n_max)
+    assert report.passed
+    assert report.checked_max == n_max
+    assert report.first_failure is None

@@ -13,9 +13,9 @@ from pseudopoly import (
     check_primorial_divisibility,
     generate_hall_like,
     inverse_binomial_transform,
-    lower_triangular_L,
     primorials,
 )
+from pseudopoly.binomial import lower_triangular_rows
 
 rng = random.Random(7)
 
@@ -34,7 +34,7 @@ print()
 print("=" * 70)
 print("2. Matrix view: the signed-binomial triangular matrix")
 print("=" * 70)
-for row in lower_triangular_L(5).to_rows():
+for row in lower_triangular_rows(5):
     print("  ", row)
 print("unit lower triangular, so conjugating by it preserves determinants")
 

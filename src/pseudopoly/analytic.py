@@ -1,7 +1,7 @@
-"""Chebyshev theta, the exact primorial-power exponent identity, asymptotic
-ratios, capacity bounds for hedgehog compacts, a Leja-point transfinite
-diameter estimator, and singular-direction extraction for rational
-functions.
+"""Chebyshev theta from one running accumulator (``theta_rows``), the exact
+primorial-power exponent identity, asymptotic ratios, capacity bounds for
+hedgehog compacts, a Leja-point transfinite diameter estimator, and
+singular-direction extraction for rational functions.
 
 The exponent identity is verified as exact integer counting, never as a
 floating-point log comparison; only the explicitly approximate quantities
@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -76,14 +77,37 @@ class SingularityReport:
     radius: float
 
 
+def theta_rows(n_max: int) -> Iterator[tuple[int, float, float]]:
+    """Yield (n, theta(n), sum of theta(k) for k < n) for n = 0..n_max.
+
+    This is the one running-theta accumulator: one sieve, log p added in
+    ascending order of p, and the partial sum extended by theta(n) after
+    row n.  Every theta value and partial sum in the package comes from
+    here, so they agree to the last bit.
+    """
+    if n_max < 0:
+        raise InputError("n_max must be >= 0")
+    flags = sieve_flags(n_max)
+    theta = 0.0
+    partial = 0.0
+    for n in range(n_max + 1):
+        if flags[n]:
+            theta += math.log(n)
+        yield n, theta, partial
+        partial += theta
+
+
+def _last(rows):
+    for row in rows:
+        pass
+    return row
+
+
 def chebyshev_theta(x: float) -> float:
     """Sum of log p over primes p <= x, accumulated in ascending order."""
     if x < 0:
         raise InputError("theta is defined for x >= 0")
-    total = 0.0
-    for p in sieve_primes(int(math.floor(x))):
-        total += math.log(p)
-    return total
+    return _last(theta_rows(int(math.floor(x))))[1]
 
 
 @dataclass(frozen=True)
@@ -95,6 +119,23 @@ class ExponentIdentityReport:
     per_prime: tuple[tuple[int, int, int], ...]  # (prime, counted, required)
 
 
+def _exponent_counts(n_max: int):
+    """Yield (n, per_prime) for n = 1..n_max, where per_prime lists
+    (p, counted, n - p) for every prime p <= n - 1.
+
+    ``counted`` is the multiplicity of p in theta(0) + ... + theta(n - 1),
+    counted incrementally: theta(k) contributes one unit to every prime
+    p <= k, so each n costs one pass over the primes seen so far.
+    """
+    primes = sieve_primes(n_max - 1)
+    counted: list[int] = []
+    for n in range(1, n_max + 1):
+        if len(counted) < len(primes) and primes[len(counted)] == n - 1:
+            counted.append(0)
+        counted = [c + 1 for c in counted]
+        yield n, tuple((p, c, n - p) for p, c in zip(primes, counted))
+
+
 def exponent_identity_check(n: int) -> ExponentIdentityReport:
     """Verify, by exact counting, that the summed theta values up to n - 1
     carry each prime p <= n - 1 with multiplicity exactly n - p.
@@ -104,14 +145,7 @@ def exponent_identity_check(n: int) -> ExponentIdentityReport:
     """
     if n < 1:
         raise InputError("n must be >= 1")
-    primes = sieve_primes(n - 1)
-    counted = {p: 0 for p in primes}
-    for k in range(n):
-        for p in primes:
-            if p > k:
-                break
-            counted[p] += 1
-    per_prime = tuple((p, counted[p], n - p) for p in primes)
+    _, per_prime = _last(_exponent_counts(n))
     passed = all(c == r for _, c, r in per_prime)
     return ExponentIdentityReport(n, passed, per_prime)
 
@@ -126,39 +160,22 @@ class ExponentIdentitySweep:
 def exponent_identity_sweep(n_max: int) -> ExponentIdentitySweep:
     """Run the exponent identity check for every n = 1..n_max.
 
-    Counts incrementally (each k contributes one unit to every prime <= k)
-    so the whole sweep costs what a single check at n_max does.
+    Shares the incremental count of ``exponent_identity_check``, so the
+    whole sweep costs what a single check at n_max does.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    primes = sieve_primes(n_max - 1)
-    counted = {p: 0 for p in primes}
-    for n in range(1, n_max + 1):
-        k = n - 1
-        for p in primes:
-            if p > k:
-                break
-            counted[p] += 1
-        for p in primes:
-            if p > n - 1:
-                break
-            if counted[p] != n - p:
-                return ExponentIdentitySweep(n_max, False, n)
+    for n, per_prime in _exponent_counts(n_max):
+        if any(c != r for _, c, r in per_prime):
+            return ExponentIdentitySweep(n_max, False, n)
     return ExponentIdentitySweep(n_max, True, None)
 
 
 def theta_partial_sum(n: int) -> float:
-    """Sum of theta(k) for k = 0..n-1 via one sieve and a running total."""
+    """Sum of theta(k) for k = 0..n-1, read from the running accumulator."""
     if n < 1:
         raise InputError("n must be >= 1")
-    flags = sieve_flags(n - 1)
-    theta = 0.0
-    total = 0.0
-    for k in range(n):
-        if flags[k]:
-            theta += math.log(k)
-        total += theta
-    return total
+    return _last(theta_rows(n))[2]
 
 
 def asymptotic_ratio(n: int) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .analytic import SingularityReport, singular_directions
 from .core import ExactSequence, InputError, InternalInvariantError, IntPolynomial
@@ -80,24 +79,17 @@ class AuditReport:
 
 
 def is_power_of_one_minus_x(poly: IntPolynomial) -> bool:
-    """Exact test: divide by (1 - x) until it fails; accept iff what is
-    left is a nonzero constant.  Constants themselves count as the zeroth
-    power."""
+    """Exact test: poly is c * (1 - x)^d, i.e. its coefficients are
+    c * (-1)^k * C(d, k) for its constant term c != 0 and degree d.
+    Constants themselves count as the zeroth power."""
     if poly.is_zero:
         return False
-    coeffs = [Fraction(c) for c in poly.coefficients]
-    while len(coeffs) > 1:
-        # synthetic division: coeffs = (1 - x) * quotient + remainder
-        remainder = sum(coeffs)
-        if remainder != 0:
-            return False
-        quotient = []
-        acc = Fraction(0)
-        for c in coeffs[:-1]:
-            acc += c
-            quotient.append(acc)
-        coeffs = quotient
-    return coeffs[0] != 0
+    c = poly.constant_term()
+    d = poly.degree
+    return all(
+        a == (-c if k % 2 else c) * math.comb(d, k)
+        for k, a in enumerate(poly.coefficients)
+    )
 
 
 def ruzsa_audit(seq: ExactSequence, config: AuditConfig | None = None) -> AuditReport:

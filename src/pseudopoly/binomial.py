@@ -1,13 +1,17 @@
 """Binomial transform pair, the signed-binomial conjugation matrix, and
 primorial divisibility of transforms.
 
-The transform sends a sequence (a_n) to b_n = sum_k (-1)^(n-k) C(n,k) a_k;
-its inverse is a_n = sum_k C(n,k) b_k.  All arithmetic is exact.
+The transform sends a sequence (a_n) to b_n = sum_k (-1)^(n-k) C(n,k) a_k,
+which is the n-th forward difference of a at 0: b is the leading column of
+the forward-difference table of a.  The inverse a_n = sum_k C(n,k) b_k
+rebuilds that table from its leading column by repeated partial sums.  All
+arithmetic is exact.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import Exact, ExactSequence, InputError
 from .primes import sieve_flags
@@ -64,39 +68,6 @@ class ExactMatrix:
             for i in range(self.rows)
         ]
 
-    def transpose(self) -> "ExactMatrix":
-        flat = tuple(
-            self.entries[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return ExactMatrix(self.cols, self.rows, flat)
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise InputError("dimension mismatch in matrix product")
-        a = self.to_rows()
-        b = other.to_rows()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            row = []
-            for j in range(other.cols):
-                acc: Exact = 0
-                for k in range(self.cols):
-                    acc += ai[k] * b[k][j]
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix.from_rows(out)
-
-    def to_json_obj(self) -> dict:
-        """JSON-ready form: row-major decimal strings."""
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [str(e) for e in self.entries],
-        }
-
 
 @dataclass(frozen=True)
 class PrimorialTable:
@@ -125,36 +96,29 @@ def primorials(n_max: int) -> PrimorialTable:
     return PrimorialTable(tuple(values))
 
 
-def _alternating_weighted_sums(values: list[Exact]) -> list[Exact]:
-    rows = binomial_rows(len(values) - 1) if values else []
-    out: list[Exact] = []
-    for n in range(len(values)):
-        row = rows[n]
-        acc: Exact = 0
-        for k in range(n + 1):
-            term = row[k] * values[k]
-            acc = acc + term if (n - k) % 2 == 0 else acc - term
-        out.append(acc)
-    return out
-
-
 def binomial_transform(seq: ExactSequence) -> ExactSequence:
-    """b_n = sum_{k=0}^{n} (-1)^(n-k) C(n,k) a_k, computed exactly."""
-    return ExactSequence.of(_alternating_weighted_sums(list(seq.terms)))
+    """b_n = sum_{k=0}^{n} (-1)^(n-k) C(n,k) a_k, computed exactly as the
+    leading column of the forward-difference table: b_n is the first entry
+    of the n-th difference row."""
+    row = list(seq.terms)
+    column = []
+    while row:
+        column.append(row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    return ExactSequence.of(column)
 
 
 def inverse_binomial_transform(seq: ExactSequence) -> ExactSequence:
-    """a_n = sum_{k=0}^{n} C(n,k) b_k; exact inverse of the forward transform."""
-    values = list(seq.terms)
-    rows = binomial_rows(len(values) - 1)
-    out = []
-    for n in range(len(values)):
-        row = rows[n]
-        acc: Exact = 0
-        for k in range(n + 1):
-            acc += row[k] * values[k]
-        out.append(acc)
-    return ExactSequence.of(out)
+    """a_n = sum_{k=0}^{n} C(n,k) b_k; exact inverse of the forward transform.
+
+    Rebuilds the forward-difference table from its leading column, bottom
+    row first: each row is its first entry b_k followed by the partial sums
+    of the row below it.
+    """
+    row: list = []
+    for b in reversed(seq.terms):
+        row = list(accumulate(row, initial=b))
+    return ExactSequence.of(row)
 
 
 def lower_triangular_rows(n: int) -> list[list[int]]:
@@ -175,11 +139,6 @@ def lower_triangular_rows(n: int) -> list[list[int]]:
             row[j] = c if (i - j) % 2 == 0 else -c
         rows.append(row)
     return rows
-
-
-def lower_triangular_L(n: int) -> ExactMatrix:
-    """The signed-binomial conjugation matrix as an ExactMatrix (det = 1)."""
-    return ExactMatrix.from_rows(lower_triangular_rows(n))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,11 @@ OK = 0
 PROPERTY_FAILED = 1
 INPUT_ERROR = 2
 
+# Size guards: larger requests are input errors, not unbounded work.
+THETA_N_MAX_LIMIT = 10**6
+LEJA_POINTS_LIMIT = 1024
+CANDIDATE_LIMIT = 10**6  # endpoints x discretization points per estimate
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -150,7 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     theta = sub.add_parser("theta", help="Chebyshev theta tables")
     th_sub = theta.add_subparsers(dest="action", required=True)
     th_table = th_sub.add_parser("table")
-    th_table.add_argument("--n-max", type=int, required=True)
+    th_table.add_argument(
+        "--n-max", type=int, required=True,
+        help=f"last row of the table (at most {THETA_N_MAX_LIMIT})",
+    )
     _add_format(th_table, ["csv"], "csv")
 
     capacity = sub.add_parser("capacity", help="hedgehog capacity bounds")
@@ -162,8 +170,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(cap_bound, ["json"], "json")
     cap_est = cap_sub.add_parser("estimate")
     cap_est.add_argument("--endpoints", required=True)
-    cap_est.add_argument("--leja-points", type=int, default=64)
-    cap_est.add_argument("--discretization", type=int, default=2048)
+    cap_est.add_argument(
+        "--leja-points", type=int, default=64,
+        help=f"number of Leja points (at most {LEJA_POINTS_LIMIT})",
+    )
+    cap_est.add_argument(
+        "--discretization", type=int, default=2048,
+        help="points per spike; endpoints x discretization is at most "
+        f"{CANDIDATE_LIMIT}",
+    )
     _add_format(cap_est, ["json"], "json")
 
     audit = sub.add_parser("audit", parents=[seq_in], help="full pipeline")
@@ -172,6 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--n-max", type=int, default=None)
     _add_format(audit, ["json", "csv"], "json")
     return parser
+
+
+def _check_limit(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise InputError(f"{what} {value} exceeds the limit {limit}")
 
 
 def _emit(text: str) -> None:
@@ -249,6 +269,7 @@ def _cmd_rational(args) -> int:
 
 
 def _cmd_theta(args) -> int:
+    _check_limit("--n-max", args.n_max, THETA_N_MAX_LIMIT)
     _emit(formats.theta_csv(args.n_max))
     return OK
 
@@ -261,6 +282,12 @@ def _cmd_capacity(args) -> int:
         "bound": bound,
     }
     if args.action == "estimate":
+        _check_limit("--leja-points", args.leja_points, LEJA_POINTS_LIMIT)
+        _check_limit(
+            "endpoints x --discretization",
+            len(hedgehog.endpoints) * args.discretization,
+            CANDIDATE_LIMIT,
+        )
         obj["estimate"] = estimate_transfinite_diameter(
             hedgehog, args.leja_points, args.discretization
         )

@@ -11,12 +11,34 @@ from __future__ import annotations
 import json
 import math
 
-from .analytic import SingularityReport
+from .analytic import SingularityReport, theta_rows
 from .audit import AuditReport
 from .core import ExactSequence, IntPolynomial, InputError
 from .hankel import InvarianceReport, RationalityDetection
-from .primes import sieve_flags
 from .sequences import CongruenceReport
+
+
+def _parse_json_integers(text: str, what: str, not_array: str, entries: str) -> list[int]:
+    """Decode a JSON array of decimal strings (plain JSON ints also pass);
+    ``what``, ``not_array`` and ``entries`` word the caller's errors."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad JSON {what}: {exc}") from exc
+    if not isinstance(data, list):
+        raise InputError(not_array)
+    values = []
+    for v in data:
+        if isinstance(v, str):
+            try:
+                values.append(int(v))
+            except ValueError as exc:
+                raise InputError(f"not a decimal integer string: {v!r}") from exc
+        elif isinstance(v, int) and not isinstance(v, bool):
+            values.append(v)
+        else:
+            raise InputError(f"{entries} must be decimal strings, got {v!r}")
+    return values
 
 
 def parse_sequence(text: str) -> ExactSequence:
@@ -25,26 +47,9 @@ def parse_sequence(text: str) -> ExactSequence:
     if not stripped:
         raise InputError("empty sequence input")
     if stripped[0] == "[":
-        try:
-            data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad JSON sequence: {exc}") from exc
-        if not isinstance(data, list):
-            raise InputError("JSON sequence must be an array")
-        terms = []
-        for v in data:
-            if isinstance(v, str):
-                try:
-                    terms.append(int(v))
-                except ValueError as exc:
-                    raise InputError(f"not a decimal integer string: {v!r}") from exc
-            elif isinstance(v, int) and not isinstance(v, bool):
-                terms.append(v)
-            else:
-                raise InputError(
-                    f"sequence entries must be decimal strings, got {v!r}"
-                )
-        return ExactSequence.of(terms)
+        return ExactSequence.of(_parse_json_integers(
+            stripped, "sequence", "JSON sequence must be an array", "sequence entries"
+        ))
     terms = []
     for line_no, line in enumerate(stripped.splitlines(), start=1):
         line = line.strip()
@@ -67,24 +72,12 @@ def render_sequence(seq: ExactSequence, fmt: str = "lines") -> str:
 
 def parse_polynomial(text: str) -> IntPolynomial:
     """Read a polynomial: JSON array of decimal strings, lowest degree first."""
-    try:
-        data = json.loads(text.strip())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON polynomial: {exc}") from exc
-    if not isinstance(data, list):
-        raise InputError("polynomial must be a JSON array of decimal strings")
-    coeffs = []
-    for v in data:
-        if isinstance(v, str):
-            try:
-                coeffs.append(int(v))
-            except ValueError as exc:
-                raise InputError(f"not a decimal integer string: {v!r}") from exc
-        elif isinstance(v, int) and not isinstance(v, bool):
-            coeffs.append(v)
-        else:
-            raise InputError(f"polynomial coefficients must be decimal strings, got {v!r}")
-    return IntPolynomial(tuple(coeffs))
+    return IntPolynomial(tuple(_parse_json_integers(
+        text.strip(),
+        "polynomial",
+        "polynomial must be a JSON array of decimal strings",
+        "polynomial coefficients",
+    )))
 
 
 def render_polynomial(poly: IntPolynomial) -> str:
@@ -202,19 +195,12 @@ def singularity_json_obj(report: SingularityReport) -> dict:
 
 def theta_csv(n_max: int) -> str:
     """Rows n = 0..n_max with theta(n), the partial sum over k < n, and the
-    partial sum divided by n^2 / 2 (empty at n = 0)."""
-    if n_max < 0:
-        raise InputError("n_max must be >= 0")
-    flags = sieve_flags(n_max)
+    partial sum divided by n^2 / 2 (empty at n = 0), all read from the
+    running-theta accumulator."""
     lines = ["n,theta,partial_sum,ratio"]
-    theta = 0.0
-    partial = 0.0  # sum of theta(k) for k < n
-    for n in range(n_max + 1):
+    for n, theta, partial in theta_rows(n_max):
         ratio = "" if n == 0 else repr(partial / (n * n / 2))
-        if flags[n]:
-            theta += math.log(n)
         lines.append(f"{n},{theta!r},{partial!r},{ratio}")
-        partial += theta
     return "\n".join(lines) + "\n"
 
 

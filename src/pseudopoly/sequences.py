@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from .binomial import inverse_binomial_transform, primorials
+from .binomial import binomial_transform, inverse_binomial_transform, primorials
 from .core import (
     ExactSequence,
     IntPolynomial,
@@ -115,19 +115,19 @@ def growth_rate(seq: ExactSequence) -> GrowthReport:
 def polynomial_certificate(seq: ExactSequence) -> int | None:
     """Smallest d whose order-(d+1) forward differences vanish on the prefix.
 
-    Demands at least two zero witnesses (prefix length >= d + 3) to reduce
-    false positives; returns None when no such d exists.  A returned d is a
+    The forward differences of the prefix are the binomial transform read
+    down the difference table, so d is the index of the last nonzero
+    transform coefficient (0 when every coefficient is zero).  Demands at
+    least two zero witnesses (prefix length >= d + 3) to reduce false
+    positives; returns None when no such d exists.  A returned d is a
     prefix-level certificate only, not a statement about the full sequence.
     """
     n_terms = len(seq)
     if n_terms < 3:
         raise InputError("certificate needs at least 3 terms")
-    diffs = list(seq.terms)
-    for d in range(n_terms - 2):
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-        if all(x == 0 for x in diffs):
-            return d
-    return None
+    b = binomial_transform(seq)
+    d = max((k for k, bk in enumerate(b) if bk != 0), default=0)
+    return d if d <= n_terms - 3 else None
 
 
 def generate_primary(coeffs: Sequence[int] | ExactSequence, length: int) -> ExactSequence:

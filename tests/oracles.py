@@ -1,14 +1,18 @@
 """Slow reference implementations kept as test oracles.
 
-The library finds recurrences with one Berlekamp-Massey pass and computes
+The library finds recurrences with one Berlekamp-Massey pass, computes
 rational Hankel determinants by clearing denominators before an integer
-Bareiss elimination.  The routines below are the direct methods those
-replaced: a Gauss-Jordan solve over the rationals for every candidate
-recurrence order, and Gaussian elimination over the rationals.  The
+Bareiss elimination, and reads the binomial transform, the polynomiality
+certificate and the power-of-(1 - x) test off one forward-difference
+table.  The routines below are the direct methods those replaced: a
+Gauss-Jordan solve over the rationals for every candidate recurrence
+order, Gaussian elimination over the rationals, explicit signed-binomial
+sums, an iterated-difference loop and synthetic division by (1 - x).  The
 property tests compare the fast paths against them.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from pseudopoly import ExactSequence, InternalInvariantError, max_order
@@ -110,3 +114,60 @@ def detect_function(seq: ExactSequence, window: int) -> RationalFunction | None:
     if coeffs is None or any(trailing):
         return None
     return _reconstruct(terms, coeffs)
+
+
+def signed_binomial_sums(terms: list) -> list:
+    """b_n = sum_k (-1)^(n-k) C(n, k) a_k, summed term by term."""
+    return [
+        sum((-1) ** (n - k) * math.comb(n, k) * terms[k] for k in range(n + 1))
+        for n in range(len(terms))
+    ]
+
+
+def binomial_sums(terms: list) -> list:
+    """a_n = sum_k C(n, k) b_k, summed term by term."""
+    return [
+        sum(math.comb(n, k) * terms[k] for k in range(n + 1))
+        for n in range(len(terms))
+    ]
+
+
+def certificate_by_differences(terms: list) -> int | None:
+    """Smallest d whose order-(d + 1) differences all vanish, difference
+    order by difference order, with at least two zero witnesses."""
+    diffs = list(terms)
+    for d in range(len(terms) - 2):
+        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
+        if all(x == 0 for x in diffs):
+            return d
+    return None
+
+
+def power_of_one_minus_x_by_division(coefficients: tuple[int, ...]) -> bool:
+    """Divide by (1 - x) until a remainder is nonzero; accept iff a nonzero
+    constant is left."""
+    if not coefficients:
+        return False
+    coeffs = [Fraction(c) for c in coefficients]
+    while len(coeffs) > 1:
+        if sum(coeffs) != 0:  # the remainder of division by (1 - x)
+            return False
+        quotient = []
+        acc = Fraction(0)
+        for c in coeffs[:-1]:
+            acc += c
+            quotient.append(acc)
+        coeffs = quotient
+    return coeffs[0] != 0
+
+
+def matmul(a: list[list], b: list[list]) -> list[list]:
+    """Row-major matrix product by the schoolbook triple loop."""
+    return [
+        [sum(row[k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+def transpose(a: list[list]) -> list[list]:
+    return [list(col) for col in zip(*a)]

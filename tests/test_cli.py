@@ -181,6 +181,23 @@ class TestThetaAndCapacity:
         assert captured.err.startswith("error:")
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theta", "table", "--n-max", "1000001"],
+            ["capacity", "estimate", "--endpoints", "1", "--leja-points", "1025"],
+            ["capacity", "estimate", "--endpoints", "1,-1,1j", "--discretization", "333334"],
+        ],
+        ids=["theta-n-max", "leja-points", "candidates"],
+    )
+    def test_size_guard_is_input_error(self, argv, capsys):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "exceeds the limit" in captured.err
+
+
 class TestAuditCommand:
     def test_polynomial_sequence(self, tmp_path, capsys):
         terms = [n**3 - 7 * n + 2 for n in range(40)]

@@ -1,21 +1,39 @@
 """Property tests: the fast exact paths against their slow oracles.
 
 Rationality detection (one Berlekamp-Massey pass) is compared with the
-order-by-order recurrence search, and cleared-denominator Bareiss
-determinants with Gaussian elimination over the rationals.
+order-by-order recurrence search, cleared-denominator Bareiss
+determinants with Gaussian elimination over the rationals, and the
+forward-difference table (transform pair, polynomiality certificate,
+power-of-(1 - x) test) with explicit binomial sums, the iterated-difference
+loop and synthetic division.
 """
+import math
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import detect_function, rational_det, recurrence_by_order_search
+from oracles import (
+    binomial_sums,
+    certificate_by_differences,
+    detect_function,
+    power_of_one_minus_x_by_division,
+    rational_det,
+    recurrence_by_order_search,
+    signed_binomial_sums,
+)
 from pseudopoly import (
     ExactSequence,
+    IntPolynomial,
+    binomial_transform,
     detect_rationality,
+    eval_polynomial_sequence,
     generate_hall_like,
     generate_primary,
     hankel_determinant,
+    inverse_binomial_transform,
+    is_power_of_one_minus_x,
+    polynomial_certificate,
     verify_transform_invariance,
 )
 from pseudopoly.hankel import _berlekamp_massey
@@ -109,3 +127,70 @@ def test_transform_invariance_holds_on_fractions(terms):
     assert report.passed
     assert report.checked_max == n_max
     assert report.first_failure is None
+
+
+exact_prefixes = st.one_of(
+    st.lists(small_ints, min_size=1, max_size=40),
+    st.lists(fractions, min_size=1, max_size=40),
+)
+
+
+@PROPERTY
+@given(exact_prefixes)
+def test_transform_pair_matches_binomial_sums(terms):
+    seq = ExactSequence.of(terms)
+    b = binomial_transform(seq)
+    assert list(b) == signed_binomial_sums(list(seq))
+    assert list(inverse_binomial_transform(seq)) == binomial_sums(list(seq))
+    assert inverse_binomial_transform(b) == seq
+
+
+@st.composite
+def polynomial_prefixes(draw):
+    """Values of a random integer polynomial, sometimes with one term
+    nudged so that the certificate has to fail or find a higher degree."""
+    coeffs = draw(st.lists(st.integers(-20, 20), max_size=8))
+    length = draw(st.integers(3, 30))
+    terms = [IntPolynomial.of(coeffs)(n) for n in range(length)]
+    if draw(st.booleans()):
+        terms[draw(st.integers(0, length - 1))] += draw(st.sampled_from([-1, 1]))
+    return terms
+
+
+@PROPERTY
+@given(st.one_of(
+    polynomial_prefixes(),
+    st.lists(small_ints, min_size=3, max_size=30),
+    st.lists(fractions, min_size=3, max_size=30),
+    st.lists(st.sampled_from([0, 0, 0, 1]), min_size=3, max_size=12),
+))
+@example([0, 0, 0])
+@example([0, 0, 1])  # degree 2 needs five terms
+def test_certificate_matches_difference_loop(terms):
+    seq = ExactSequence.of(terms)
+    assert polynomial_certificate(seq) == certificate_by_differences(list(seq))
+
+
+@PROPERTY
+@given(st.lists(st.integers(-5, 5), max_size=10))
+def test_power_test_matches_synthetic_division(coeffs):
+    poly = IntPolynomial.of(coeffs)
+    expected = power_of_one_minus_x_by_division(poly.coefficients)
+    assert is_power_of_one_minus_x(poly) == expected
+
+
+@PROPERTY
+@given(
+    st.integers(-9, 9).filter(bool),
+    st.integers(0, 12),
+    st.data(),
+)
+def test_power_test_on_perturbed_powers(c, d, data):
+    coeffs = [(-1) ** k * c * math.comb(d, k) for k in range(d + 1)]
+    assert is_power_of_one_minus_x(IntPolynomial.of(coeffs))
+    k = data.draw(st.integers(0, d + 1))
+    coeffs += [0]
+    coeffs[k] += data.draw(st.sampled_from([-1, 1]))
+    poly = IntPolynomial.of(coeffs)
+    expected = power_of_one_minus_x_by_division(poly.coefficients)
+    assert is_power_of_one_minus_x(poly) == expected

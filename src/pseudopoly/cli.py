@@ -5,11 +5,12 @@ forward|inverse, hankel table|verify-invariance|verify-divisibility,
 rational detect, theta table, capacity bound|estimate, audit.
 
 Exit codes: 0 success, 1 a checked property failed (violations found),
-2 input error.
+2 input error, 3 an internal invariant was violated (a bug).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -35,6 +36,7 @@ from .sequences import (
 OK = 0
 PROPERTY_FAILED = 1
 INPUT_ERROR = 2
+INTERNAL_ERROR = 3
 
 # Size guards: larger requests are input errors, not unbounded work.
 THETA_N_MAX_LIMIT = 10**6
@@ -189,6 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import; parsing leaves it unchanged, so
+    # one instance serves every call
+    return build_parser()
+
+
 def _check_limit(what: str, value: int, limit: int) -> None:
     if value > limit:
         raise InputError(f"{what} {value} exceeds the limit {limit}")
@@ -311,9 +320,8 @@ def _cmd_audit(args) -> int:
 
 
 def run_cli(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
@@ -334,7 +342,7 @@ def run_cli(argv: list[str]) -> int:
         return INPUT_ERROR
     except InternalInvariantError as exc:
         print(f"INTERNAL INVARIANT VIOLATED (this is a bug): {exc}", file=sys.stderr)
-        return PROPERTY_FAILED
+        return INTERNAL_ERROR
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return PROPERTY_FAILED

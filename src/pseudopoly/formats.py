@@ -10,12 +10,24 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 from .analytic import SingularityReport, theta_rows
 from .audit import AuditReport
 from .core import ExactSequence, IntPolynomial, InputError
 from .hankel import InvarianceReport, RationalityDetection
 from .sequences import CongruenceReport
+
+# A decimal integer is an optional minus sign and ASCII digits, nothing
+# else: no "+", no "_" separators, no surrounding spaces, no other digits.
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    """The value of a decimal integer string; ValueError if it is not one."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
 
 
 def _parse_json_integers(text: str, what: str, not_array: str, entries: str) -> list[int]:
@@ -31,7 +43,7 @@ def _parse_json_integers(text: str, what: str, not_array: str, entries: str) -> 
     for v in data:
         if isinstance(v, str):
             try:
-                values.append(int(v))
+                values.append(_decimal(v))
             except ValueError as exc:
                 raise InputError(f"not a decimal integer string: {v!r}") from exc
         elif isinstance(v, int) and not isinstance(v, bool):
@@ -56,7 +68,7 @@ def parse_sequence(text: str) -> ExactSequence:
         if not line:
             continue
         try:
-            terms.append(int(line))
+            terms.append(_decimal(line))
         except ValueError as exc:
             raise InputError(f"line {line_no} is not a decimal integer: {line!r}") from exc
     return ExactSequence.of(terms)

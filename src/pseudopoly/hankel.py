@@ -4,10 +4,20 @@ rational-function reconstruction.
 
 The determinant of the order-n Hankel matrix of an integer sequence is an
 integer, and for congruence-preserving sequences it is divisible by the
-product over primes p <= n-1 of p^(n-p).  Every determinant is one
-fraction-free Bareiss elimination over the integers (Bareiss 1968); a
-rational prefix is first scaled by the lcm D of its denominators, since
-det H_n(a) = det H_n(D a) / D^n.
+product over primes p <= n-1 of p^(n-p).  H_k is the leading k x k block of
+H_n, so one fraction-free Bareiss elimination without pivoting over H_n
+(Bareiss 1968) yields every det H_k as its k-th pivot.  At a zero pivot
+after k steps each remaining entry is det H_k times an entry of the Schur
+complement (Sylvester's identity): if its first row is zero (as when the
+rank is k) every larger leading minor vanishes; otherwise the larger orders
+are left undetermined and each one asked for gets its own elimination with
+row pivoting.  A rational prefix is first scaled by the lcm D of its
+denominators, since det H_n(a) = det H_n(D a) / D^n.
+
+``hankel_determinant`` answers from a one-slot memo of the last sequence
+(compared by identity) and its minors, so a caller that asks for the
+orders from the top down pays one elimination per prefix; the table, the
+detection and the audit all ask that way.
 
 Rationality detection uses the classical criterion that a power series is
 rational iff almost all of its Hankel determinants vanish, made finite by a
@@ -20,6 +30,7 @@ the recurrence was found.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -155,10 +166,11 @@ def hankel_matrix(seq: ExactSequence, n: int) -> ExactMatrix:
 def _bareiss_det(rows: list[list[int]]) -> int:
     """Fraction-free determinant of an integer matrix.
 
-    One-step Bareiss elimination: every intermediate is an exact integer
-    (each division below is exact by Sylvester's identity), which keeps
-    entry growth polynomial instead of the exponential blowup of naive
-    expansion.
+    One-step Bareiss elimination with row pivoting: every intermediate is
+    an exact integer (each division below is exact by Sylvester's
+    identity), which keeps entry growth polynomial instead of the
+    exponential blowup of naive expansion.  Only the leading minors that
+    ``_leading_minors`` leaves undetermined come here.
     """
     n = len(rows)
     m = [row[:] for row in rows]
@@ -185,14 +197,66 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _leading_minors(rows: list[list[int]]) -> list[int | None]:
+    """det of the leading k x k block of a symmetric integer matrix for
+    k = 1..n, from one Bareiss pass without pivoting; None where the pass
+    cannot tell.
+
+    After k steps, entry (i, j) with i, j >= k is the minor of the leading
+    k x k block bordered by row i and column j, so the k-th pivot is the
+    order-(k + 1) leading minor, and the stage stays symmetric: only the
+    upper triangle is kept.  At a zero pivot the rest is det H_k times the
+    Schur complement S, and det H_(k+j) = det H_k * det S_j for the leading
+    j x j block S_j of S.  If the first row of S is zero, so is that of
+    every S_j, and every larger minor is 0 (this covers rank k).
+    """
+    n = len(rows)
+    m = [row[:] for row in rows]
+    minors = []
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        minors.append(pivot)
+        mk = m[k]
+        if pivot == 0:
+            return minors + [None if any(mk[k:]) else 0] * (n - k - 1)
+        for i in range(k + 1, n):
+            mi = m[i]
+            mki = mk[i]
+            mi[i:] = [(x * pivot - mki * y) // prev for x, y in zip(mi[i:], mk[i:])]
+        prev = pivot
+    return minors
+
+
+def _minor(minors: list[int | None], values: list[int], n: int) -> int:
+    """det H_n of ``values`` read off its leading minors, by an elimination
+    of its own where the pass left it undetermined."""
+    if minors[n - 1] is None:
+        minors[n - 1] = _bareiss_det(_hankel_rows(values, n))
+    return minors[n - 1]
+
+
 def _clear_denominators(terms) -> tuple[list[int], int]:
     """The integers D*a for the lcm D of the terms' denominators, and D."""
     scale = math.lcm(*(t.denominator for t in terms))
     return [t.numerator * (scale // t.denominator) for t in terms], scale
 
 
+# (sequence, its prefix as integers, the scale D or None for an integer
+# sequence, leading minors of that prefix's largest Hankel matrix so far).
+# It is replaced whole and each call works on the tuple it read, so
+# concurrent callers stay correct; the only edit in place fills an
+# undetermined minor with its value.
+_minors_memo: tuple | None = None
+
+
 def hankel_determinant(seq: ExactSequence, n: int) -> Exact:
-    """Exact determinant of the order-n Hankel matrix (order 0 gives 1)."""
+    """Exact determinant of the order-n Hankel matrix (order 0 gives 1).
+
+    Answered from the memo of ``seq``'s leading minors; a larger order or
+    another sequence object redoes the elimination at order n.
+    """
+    global _minors_memo
     if n == 0:
         return 1
     if n < 0:
@@ -201,10 +265,17 @@ def hankel_determinant(seq: ExactSequence, n: int) -> Exact:
         raise InputError(
             f"order {n} needs a prefix of length {2 * n - 1}, have {len(seq)}"
         )
-    if seq.is_integer:
-        return _bareiss_det(_hankel_rows(seq.integer_terms(), n))
-    scaled, scale = _clear_denominators(seq.terms[: 2 * n - 1])
-    return Fraction(_bareiss_det(_hankel_rows(scaled, n)), scale**n)
+    memo = _minors_memo
+    if memo is None or memo[0] is not seq or len(memo[3]) < n:
+        if seq.is_integer:
+            values, scale = list(seq.terms[: 2 * n - 1]), None
+        else:
+            values, scale = _clear_denominators(seq.terms[: 2 * n - 1])
+        memo = (seq, values, scale, _leading_minors(_hankel_rows(values, n)))
+        _minors_memo = memo
+    _, values, scale, minors = memo
+    det = _minor(minors, values, n)
+    return det if scale is None else Fraction(det, scale**n)
 
 
 def padic_valuation(x: int, p: int) -> int | float:
@@ -233,6 +304,12 @@ def _exact_valuation(value: Exact, p: int) -> int | float:
     return padic_valuation(value, p)
 
 
+def _determinants(seq: ExactSequence, n_max: int) -> list[Exact]:
+    """det H_1 .. det H_n_max, asked for from the top order down so that
+    one elimination serves them all."""
+    return [hankel_determinant(seq, n) for n in range(n_max, 0, -1)][::-1]
+
+
 def max_order(seq: ExactSequence) -> int:
     """Largest Hankel order observable from this prefix."""
     return (len(seq) + 1) // 2
@@ -249,8 +326,7 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
         )
     small_primes = sieve_primes(max(0, n_max - 1))
     records = []
-    for n in range(1, n_max + 1):
-        det = hankel_determinant(seq, n)
+    for n, det in enumerate(_determinants(seq, n_max), start=1):
         required_divisor = 1
         valuations = []
         divisible = True
@@ -316,7 +392,12 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
     the binomial transform entrywise, and that the two determinants agree.
 
     Both checks are exact; the first failure (if any) is reported with its
-    order and which of the two checks broke.
+    order and which of the two checks broke, the entrywise one first.  L is
+    lower triangular, so the leading n x n block of L H L^T is
+    L_n H_n L_n^T: one conjugation at n_max decides every order, and an
+    entry (i, j) that differs fails every order above max(i, j).  The
+    determinants of the orders below the first entrywise failure are the
+    leading minors of the two Hankel matrices.
     """
     if n_max < 1 or n_max > max_order(seq):
         raise InputError(
@@ -328,14 +409,23 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
         seq = ExactSequence(tuple(_clear_denominators(seq.terms)[0]))
     a = seq.integer_terms()
     b = binomial_transform(seq).integer_terms()
-    for n in range(1, n_max + 1):
-        h_f = _hankel_rows(a, n)
-        h_g = _hankel_rows(b, n)
-        conjugated = _conjugate_by_lower_triangular(lower_triangular_rows(n), h_f)
-        if conjugated != h_g:
-            return InvarianceReport(False, n_max, (n, "entrywise"))
-        if _bareiss_det(h_f) != _bareiss_det(h_g):
+    h_b = _hankel_rows(b, n_max)
+    conjugated = _conjugate_by_lower_triangular(
+        lower_triangular_rows(n_max), _hankel_rows(a, n_max)
+    )
+    entrywise = min(
+        (max(i, j) + 1 for i, j in itertools.product(range(n_max), repeat=2)
+         if conjugated[i][j] != h_b[i][j]),
+        default=None,
+    )
+    agreed = n_max if entrywise is None else entrywise - 1
+    minors_a = _leading_minors(_hankel_rows(a, agreed))
+    minors_b = _leading_minors(_hankel_rows(b, agreed))
+    for n in range(1, agreed + 1):
+        if _minor(minors_a, a, n) != _minor(minors_b, b, n):
             return InvarianceReport(False, n_max, (n, "determinant"))
+    if entrywise is not None:
+        return InvarianceReport(False, n_max, (entrywise, "entrywise"))
     return InvarianceReport(True, n_max, None)
 
 
@@ -421,9 +511,7 @@ def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetect
             f"window {window} needs a prefix of length {2 * window + 2}, have {n_terms}"
         )
     terms = [Fraction(t) for t in seq.terms]
-    det_table = tuple(
-        hankel_determinant(seq, n) for n in range(1, max_order(seq) + 1)
-    )
+    det_table = tuple(_determinants(seq, max_order(seq)))
     zero_run = 0
     for d in reversed(det_table):
         if d != 0:

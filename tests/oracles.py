@@ -2,13 +2,17 @@
 
 The library finds recurrences with one Berlekamp-Massey pass, computes
 rational Hankel determinants by clearing denominators before an integer
-Bareiss elimination, and reads the binomial transform, the polynomiality
-certificate and the power-of-(1 - x) test off one forward-difference
-table.  The routines below are the direct methods those replaced: a
-Gauss-Jordan solve over the rationals for every candidate recurrence
-order, Gaussian elimination over the rationals, explicit signed-binomial
-sums, an iterated-difference loop and synthetic division by (1 - x).  The
-property tests compare the fast paths against them.
+Bareiss elimination, reads every Hankel determinant of a prefix off the
+pivots of one elimination without pivoting, checks transform invariance
+with one conjugation at the largest order, and reads the binomial
+transform, the polynomiality certificate and the power-of-(1 - x) test off
+one forward-difference table.  The routines below are the direct methods
+those replaced: a Gauss-Jordan solve over the rationals for every
+candidate recurrence order, Gaussian elimination over the rationals, an
+elimination with row pivoting for every Hankel order, a conjugation for
+every order, explicit signed-binomial sums, an iterated-difference loop
+and synthetic division by (1 - x).  The property tests compare the fast
+paths against them.
 """
 from __future__ import annotations
 
@@ -16,7 +20,20 @@ import math
 from fractions import Fraction
 
 from pseudopoly import ExactSequence, InternalInvariantError, max_order
-from pseudopoly.hankel import RationalFunction, _reconstruct
+from pseudopoly import hankel
+from pseudopoly.core import log_abs_exact
+from pseudopoly.hankel import (
+    HankelRecord,
+    InvarianceReport,
+    RationalFunction,
+    _bareiss_det,
+    _clear_denominators,
+    _conjugate_by_lower_triangular,
+    _exact_valuation,
+    _hankel_rows,
+    _reconstruct,
+)
+from pseudopoly.primes import sieve_primes
 
 
 def rational_det(rows: list[list]) -> Fraction:
@@ -114,6 +131,65 @@ def detect_function(seq: ExactSequence, window: int) -> RationalFunction | None:
     if coeffs is None or any(trailing):
         return None
     return _reconstruct(terms, coeffs)
+
+
+def determinant_by_order(seq: ExactSequence, n: int):
+    """det H_n by an elimination of its own, with row pivoting, after
+    clearing denominators."""
+    if seq.is_integer:
+        return _bareiss_det(_hankel_rows(seq.integer_terms(), n))
+    scaled, scale = _clear_denominators(seq.terms[: 2 * n - 1])
+    return Fraction(_bareiss_det(_hankel_rows(scaled, n)), scale**n)
+
+
+def hankel_table_by_order(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
+    """The audit rows of ``hankel_table``, one elimination per order."""
+    small_primes = sieve_primes(max(0, n_max - 1))
+    records = []
+    for n in range(1, n_max + 1):
+        det = determinant_by_order(seq, n)
+        required_divisor = 1
+        valuations = []
+        divisible = True
+        for p in small_primes:
+            if p > n - 1:
+                break
+            required = n - p
+            required_divisor *= p**required
+            actual = _exact_valuation(det, p)
+            valuations.append((p, required, actual))
+            if actual < required:
+                divisible = False
+        growth = None if det == 0 else math.exp(log_abs_exact(det) / (n * n))
+        records.append(
+            HankelRecord(n, det, required_divisor, tuple(valuations), divisible, growth)
+        )
+    return records
+
+
+def det_table_by_order(seq: ExactSequence) -> tuple:
+    """Detection's determinant evidence, one elimination per order."""
+    return tuple(determinant_by_order(seq, n) for n in range(1, max_order(seq) + 1))
+
+
+def invariance_by_order(seq: ExactSequence, n_max: int) -> InvarianceReport:
+    """Transform invariance, order by order: a conjugation and two
+    determinants for every n, the first failure reported.  The transform
+    and L are looked up on the library module, so a test that replaces
+    them there changes this oracle too."""
+    if not seq.is_integer:
+        seq = ExactSequence(tuple(_clear_denominators(seq.terms)[0]))
+    a = seq.integer_terms()
+    b = hankel.binomial_transform(seq).integer_terms()
+    for n in range(1, n_max + 1):
+        h_f = _hankel_rows(a, n)
+        h_g = _hankel_rows(b, n)
+        conjugated = _conjugate_by_lower_triangular(hankel.lower_triangular_rows(n), h_f)
+        if conjugated != h_g:
+            return InvarianceReport(False, n_max, (n, "entrywise"))
+        if _bareiss_det(h_f) != _bareiss_det(h_g):
+            return InvarianceReport(False, n_max, (n, "determinant"))
+    return InvarianceReport(True, n_max, None)
 
 
 def signed_binomial_sums(terms: list) -> list:

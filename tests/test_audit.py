@@ -20,6 +20,7 @@ from pseudopoly import (
     polya_bound_for_series,
     ruzsa_audit,
 )
+from pseudopoly import hankel
 from pseudopoly.formats import audit_json_obj, dumps
 
 CUBIC = IntPolynomial.of([2, -7, 0, 1])
@@ -133,6 +134,28 @@ class TestRuzsaAudit:
         second = dumps(audit_json_obj(ruzsa_audit(seq)))
         assert first == second
         assert '"schema": "ruzsa-audit/1"' in first
+
+    @pytest.mark.parametrize(
+        "seq",
+        [eval_polynomial_sequence(CUBIC, 40), generate_primary([1, -2, 0, 3] * 8, 31)],
+        ids=["cubic", "primary"],
+    )
+    def test_determinant_layer_is_asked_once_per_order_and_consumer(
+        self, seq, monkeypatch
+    ):
+        # the table and the detection each ask hankel_determinant for every
+        # order; the shared memo makes the second ask cheap, but the calls
+        # stay visible through the module name
+        calls = []
+        original = hankel.hankel_determinant
+
+        def counted(s, n):
+            calls.append(n)
+            return original(s, n)
+
+        monkeypatch.setattr(hankel, "hankel_determinant", counted)
+        ruzsa_audit(seq)
+        assert len(calls) == 2 * math.ceil(len(seq) / 2)
 
     def test_needs_ten_terms(self):
         with pytest.raises(InputError):

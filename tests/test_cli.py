@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -254,3 +255,44 @@ class TestErrorPaths:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '["1_000", "2"]',
+            '[" 7 ", "2"]',
+            '["+3", "2"]',
+            '["\uff17", "2"]',
+            "1_0\n2\n",
+            "+3\n2\n",
+            "\u0663\n2\n",
+        ],
+        ids=["json-underscore", "json-spaces", "json-plus", "json-fullwidth",
+             "line-underscore", "line-plus", "line-arabic-indic"],
+    )
+    def test_sequence_needs_strict_decimals(self, text, tmp_path, capsys):
+        path = tmp_path / "seq.txt"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(["transform", "forward", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "not a decimal integer" in captured.err
+
+    def test_polynomial_needs_strict_decimals(self, capsys):
+        assert run_cli(["gen", "poly", "--coeffs", '["1_0"]', "--n-max", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not a decimal integer string")
+
+    def test_internal_invariant_exits_three(self, tmp_path, capsys, monkeypatch):
+        # a recurrence that does not reproduce the prefix is a bug, not a
+        # property of the input, and must not look like a finding (exit 1)
+        monkeypatch.setattr(
+            "pseudopoly.hankel._berlekamp_massey", lambda terms: [Fraction(2)]
+        )
+        path = write_sequence(tmp_path, "cubic.txt", [n**3 - 7 * n + 2 for n in range(40)])
+        assert run_cli(["audit", "--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("INTERNAL INVARIANT VIOLATED")

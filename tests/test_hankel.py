@@ -22,6 +22,7 @@ from pseudopoly import (
     padic_valuation,
     verify_transform_invariance,
 )
+from pseudopoly import hankel
 from pseudopoly.binomial import lower_triangular_rows
 
 FIB_5 = ExactSequence.of([0, 1, 1, 2, 3])
@@ -232,6 +233,25 @@ class TestTransformInvariance:
     def test_out_of_range_order(self):
         with pytest.raises(InputError):
             verify_transform_invariance(FIB_5, 4)
+
+    def test_determinant_mismatch_is_reported_at_its_order(self, monkeypatch):
+        # the determinant check guards the elimination itself: a wrong
+        # minor of H(b) must surface as the first failure at its order
+        original = hankel._leading_minors
+        seen = []
+
+        def corrupt_second(rows):
+            minors = original(rows)
+            seen.append(rows)
+            if len(seen) == 2:
+                minors[3] += 1
+            return minors
+
+        monkeypatch.setattr(hankel, "_leading_minors", corrupt_second)
+        terms = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9]
+        report = verify_transform_invariance(ExactSequence.of(terms), 7)
+        assert report.first_failure == (4, "determinant")
+        assert not report.passed
 
 
 class TestDetectRationality:

@@ -2,21 +2,28 @@
 
 Rationality detection (one Berlekamp-Massey pass) is compared with the
 order-by-order recurrence search, cleared-denominator Bareiss
-determinants with Gaussian elimination over the rationals, and the
-forward-difference table (transform pair, polynomiality certificate,
-power-of-(1 - x) test) with explicit binomial sums, the iterated-difference
-loop and synthetic division.
+determinants with Gaussian elimination over the rationals, the leading
+minors of one elimination (the Hankel table, detection's determinant
+evidence, memoized determinants, transform invariance) with an
+elimination per order, and the forward-difference table (transform pair,
+polynomiality certificate, power-of-(1 - x) test) with explicit binomial
+sums, the iterated-difference loop and synthetic division.
 """
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     binomial_sums,
     certificate_by_differences,
+    det_table_by_order,
     detect_function,
+    determinant_by_order,
+    hankel_table_by_order,
+    invariance_by_order,
     power_of_one_minus_x_by_division,
     rational_det,
     recurrence_by_order_search,
@@ -31,11 +38,14 @@ from pseudopoly import (
     generate_hall_like,
     generate_primary,
     hankel_determinant,
+    hankel_table,
     inverse_binomial_transform,
     is_power_of_one_minus_x,
+    max_order,
     polynomial_certificate,
     verify_transform_invariance,
 )
+from pseudopoly import hankel
 from pseudopoly.hankel import _berlekamp_massey
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -94,6 +104,115 @@ def test_detection_matches_order_search(terms, window):
         assert coeffs == searched
     detection = detect_rationality(seq, window)
     assert detection.function == detect_function(seq, window)
+
+
+# a0 = 0 makes the first pivot zero; the rest of the prefix then decides
+# whether the first row of the Schur complement vanishes (every larger
+# minor is 0) or the orders above stay undetermined and each needs an
+# elimination of its own
+zero_led = st.one_of(
+    st.lists(small_ints, min_size=0, max_size=21).map(lambda t: [0] + t),
+    st.lists(st.sampled_from([0, 0, 1, -1]), min_size=0, max_size=21).map(lambda t: [0] + t),
+    c_finite(st.integers(-3, 3)).map(lambda t: [0] + t),
+)
+minor_prefixes = st.one_of(
+    st.lists(small_ints, min_size=1, max_size=25),
+    st.lists(fractions, min_size=1, max_size=25),
+    st.lists(st.just(0), min_size=1, max_size=25),
+    c_finite(st.integers(-3, 3)),
+    c_finite(fractions),
+    zero_led,
+)
+
+
+@PROPERTY
+@given(minor_prefixes, st.integers(0, 13))
+@example([0, 1, 0, 0, 0], 0)  # zero pivot, nonzero Schur complement
+@example([0, 0, 0, 0, 1], 0)  # its first row is zero, the rest is not
+@example([0] * 9, 0)
+def test_table_and_detection_match_eliminations_by_order(terms, cut):
+    seq = ExactSequence.of(terms)
+    n_max = max(0, max_order(seq) - cut)
+    assert hankel_table(seq, n_max) == hankel_table_by_order(seq, n_max)
+    if len(seq) >= 4:
+        det_table = detect_rationality(seq, 1).det_table
+        expected = det_table_by_order(seq)
+        assert det_table == expected
+        assert list(map(type, det_table)) == list(map(type, expected))
+
+
+@PROPERTY
+@given(
+    minor_prefixes,
+    minor_prefixes,
+    st.sampled_from(["ascending", "descending", "random"]),
+    st.sampled_from(["other", "equal-copy", "fraction-twin"]),
+    st.randoms(use_true_random=False),
+)
+def test_memoized_determinants_never_cross_sequences(first, second, schedule, pair, rng):
+    seq = ExactSequence.of(first)
+    if pair == "equal-copy":
+        other = ExactSequence.of(first)  # equal values, a distinct object
+    elif pair == "fraction-twin":  # equal values, int and Fraction terms
+        ints = [int(t) for t in first]
+        seq = ExactSequence.of(ints)
+        other = ExactSequence(tuple(Fraction(t) for t in ints))
+    else:
+        other = ExactSequence.of(second)
+    calls = [(s, n) for s in (seq, other) for n in range(1, max_order(s) + 1)]
+    if schedule == "ascending":
+        calls.sort(key=lambda call: call[1])
+    elif schedule == "descending":
+        calls.sort(key=lambda call: -call[1])
+    else:
+        rng.shuffle(calls)
+    for s, n in calls:
+        det = hankel_determinant(s, n)
+        expected = determinant_by_order(s, n)
+        assert det == expected
+        assert type(det) is type(expected)
+        assert type(det) is (int if s.is_integer else Fraction)
+
+
+invariance_prefixes = st.one_of(
+    st.lists(st.integers(-1000, 1000), min_size=1, max_size=25),
+    st.lists(fractions, min_size=1, max_size=25),
+    zero_led,
+    c_finite(st.integers(-3, 3)),
+)
+
+
+@PROPERTY
+@given(invariance_prefixes, st.integers(0, 12))
+def test_invariance_matches_conjugation_by_order(terms, cut):
+    seq = ExactSequence.of(terms)
+    n_max = max(1, max_order(seq) - cut)
+    assert verify_transform_invariance(seq, n_max) == invariance_by_order(seq, n_max)
+
+
+@PROPERTY
+@given(invariance_prefixes, st.data())
+def test_perturbed_transform_fails_at_the_oracles_order(terms, data):
+    seq = ExactSequence.of(terms)
+    n_max = data.draw(st.integers(1, max_order(seq)))
+    index = data.draw(st.integers(0, len(seq) - 1))
+    delta = data.draw(st.sampled_from([-1, 1, 7]))
+    original = hankel.binomial_transform
+
+    def perturbed(s):
+        b = list(original(s))
+        b[index] += delta
+        return ExactSequence(tuple(b))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hankel, "binomial_transform", perturbed)
+        report = verify_transform_invariance(seq, n_max)
+        expected = invariance_by_order(seq, n_max)
+    assert report == expected
+    # term i + j of H(b) fails every order above max(i, j) >= ceil(index / 2)
+    order = (index + 1) // 2 + 1
+    if order <= n_max:
+        assert report.first_failure == (order, "entrywise")
 
 
 @PROPERTY

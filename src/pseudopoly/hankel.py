@@ -8,11 +8,12 @@ product over primes p <= n-1 of p^(n-p).  H_k is the leading k x k block of
 H_n, so one fraction-free Bareiss elimination without pivoting over H_n
 (Bareiss 1968) yields every det H_k as its k-th pivot.  At a zero pivot
 after k steps each remaining entry is det H_k times an entry of the Schur
-complement (Sylvester's identity): if its first row is zero (as when the
-rank is k) every larger leading minor vanishes; otherwise the larger orders
-are left undetermined and each one asked for gets its own elimination with
-row pivoting.  A rational prefix is first scaled by the lcm D of its
-denominators, since det H_n(a) = det H_n(D a) / D^n.
+complement (Sylvester's identity).  If its first row is zero (as when the
+rank is k) every larger leading minor vanishes; otherwise the pass looks
+ahead for the smallest nonsingular leading block of the complement, reads
+the zero minors below it and the next nonzero one off its determinant, and
+steps over the whole block at once.  A rational prefix is first scaled by
+the lcm D of its denominators, since det H_n(a) = det H_n(D a) / D^n.
 
 ``hankel_determinant`` answers from a one-slot memo of the last sequence
 (compared by identity) and its minors, so a caller that asks for the
@@ -169,8 +170,8 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     One-step Bareiss elimination with row pivoting: every intermediate is
     an exact integer (each division below is exact by Sylvester's
     identity), which keeps entry growth polynomial instead of the
-    exponential blowup of naive expansion.  Only the leading minors that
-    ``_leading_minors`` leaves undetermined come here.
+    exponential blowup of naive expansion.  ``_leading_minors`` uses it on
+    the blocks it looks ahead over at a zero pivot.
     """
     n = len(rows)
     m = [row[:] for row in rows]
@@ -197,43 +198,95 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _leading_minors(rows: list[list[int]]) -> list[int | None]:
+def _leading_minors(rows: list[list[int]]) -> list[int]:
     """det of the leading k x k block of a symmetric integer matrix for
-    k = 1..n, from one Bareiss pass without pivoting; None where the pass
-    cannot tell.
+    k = 1..n, from one Bareiss pass without pivoting.
 
     After k steps, entry (i, j) with i, j >= k is the minor of the leading
     k x k block bordered by row i and column j, so the k-th pivot is the
     order-(k + 1) leading minor, and the stage stays symmetric: only the
     upper triangle is kept.  At a zero pivot the rest is det H_k times the
-    Schur complement S, and det H_(k+j) = det H_k * det S_j for the leading
-    j x j block S_j of S.  If the first row of S is zero, so is that of
-    every S_j, and every larger minor is 0 (this covers rank k).
+    Schur complement S, and the leading s x s block of the stage has
+    determinant det H_(k+s) * det H_k^(s-1).  If the first row of S is zero
+    every larger minor is 0 (this covers rank k); otherwise the smallest s
+    with a nonsingular block gives the next nonzero minor, and
+    ``_block_step`` carries the stage past that block.
     """
     n = len(rows)
     m = [row[:] for row in rows]
     minors = []
     prev = 1
-    for k in range(n):
-        pivot = m[k][k]
-        minors.append(pivot)
+    k = 0
+    while k < n:
         mk = m[k]
+        pivot = mk[k]
         if pivot == 0:
-            return minors + [None if any(mk[k:]) else 0] * (n - k - 1)
+            if not any(mk[k:]):
+                return minors + [0] * (n - k)
+            for s in range(2, n - k + 1):
+                block = [[m[k + min(a, b)][k + max(a, b)] for b in range(s)]
+                         for a in range(s)]
+                block_det = _bareiss_det(block)
+                if block_det:
+                    break
+            else:
+                return minors + [0] * (n - k)
+            det = block_det // prev ** (s - 1)
+            minors += [0] * (s - 1) + [det]
+            _block_step(m, k, block, block_det, prev)
+            prev = det
+            k += s
+            continue
+        minors.append(pivot)
         for i in range(k + 1, n):
             mi = m[i]
             mki = mk[i]
             mi[i:] = [(x * pivot - mki * y) // prev for x, y in zip(mi[i:], mk[i:])]
         prev = pivot
+        k += 1
     return minors
 
 
-def _minor(minors: list[int | None], values: list[int], n: int) -> int:
-    """det H_n of ``values`` read off its leading minors, by an elimination
-    of its own where the pass left it undetermined."""
-    if minors[n - 1] is None:
-        minors[n - 1] = _bareiss_det(_hankel_rows(values, n))
-    return minors[n - 1]
+def _block_step(m: list[list[int]], k: int, block: list[list[int]], block_det: int,
+                prev: int) -> None:
+    """Advance the upper triangle of a Bareiss stage (after k steps, with
+    previous pivot ``prev``) over its nonsingular leading s x s ``block``.
+
+    Entry (i, j) past the block becomes the minor bordered by i and j of
+    the leading k + s rows and columns: det [[B, r_j], [r_i^T, t]] over
+    prev^s by Sylvester's identity, where that determinant is
+    det B * t - r_i^T adj(B) r_j and r_i is column i of the block's rows.
+    """
+    s = len(block)
+    n = len(m)
+    inverse = _inverse(block)
+    adjugate = [[int(block_det * x) for x in row] for row in inverse]
+    cols = {i: [m[k + a][i] for a in range(s)] for i in range(k + s, n)}
+    adj_cols = {i: [sum(map(operator.mul, row, r)) for row in adjugate]
+                for i, r in cols.items()}
+    scale = prev**s
+    for i in range(k + s, n):
+        mi = m[i]
+        r_i = cols[i]
+        mi[i:] = [(block_det * mi[j] - sum(map(operator.mul, r_i, adj_cols[j]))) // scale
+                  for j in range(i, n)]
+
+
+def _inverse(rows: list[list[int]]) -> list[list[Fraction]]:
+    """Inverse of a nonsingular integer matrix, by Gauss-Jordan over Q."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if aug[i][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        pivot_row = [x / aug[c][c] for x in aug[c]]
+        aug[c] = pivot_row
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], pivot_row)]
+    return [row[n:] for row in aug]
 
 
 def _clear_denominators(terms) -> tuple[list[int], int]:
@@ -242,11 +295,9 @@ def _clear_denominators(terms) -> tuple[list[int], int]:
     return [t.numerator * (scale // t.denominator) for t in terms], scale
 
 
-# (sequence, its prefix as integers, the scale D or None for an integer
-# sequence, leading minors of that prefix's largest Hankel matrix so far).
-# It is replaced whole and each call works on the tuple it read, so
-# concurrent callers stay correct; the only edit in place fills an
-# undetermined minor with its value.
+# (sequence, the scale D or None for an integer sequence, leading minors of
+# that prefix's largest Hankel matrix so far).  It is replaced whole and
+# never edited, so concurrent callers stay correct.
 _minors_memo: tuple | None = None
 
 
@@ -266,15 +317,15 @@ def hankel_determinant(seq: ExactSequence, n: int) -> Exact:
             f"order {n} needs a prefix of length {2 * n - 1}, have {len(seq)}"
         )
     memo = _minors_memo
-    if memo is None or memo[0] is not seq or len(memo[3]) < n:
+    if memo is None or memo[0] is not seq or len(memo[2]) < n:
         if seq.is_integer:
             values, scale = list(seq.terms[: 2 * n - 1]), None
         else:
             values, scale = _clear_denominators(seq.terms[: 2 * n - 1])
-        memo = (seq, values, scale, _leading_minors(_hankel_rows(values, n)))
+        memo = (seq, scale, _leading_minors(_hankel_rows(values, n)))
         _minors_memo = memo
-    _, values, scale, minors = memo
-    det = _minor(minors, values, n)
+    _, scale, minors = memo
+    det = minors[n - 1]
     return det if scale is None else Fraction(det, scale**n)
 
 
@@ -422,7 +473,7 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
     minors_a = _leading_minors(_hankel_rows(a, agreed))
     minors_b = _leading_minors(_hankel_rows(b, agreed))
     for n in range(1, agreed + 1):
-        if _minor(minors_a, a, n) != _minor(minors_b, b, n):
+        if minors_a[n - 1] != minors_b[n - 1]:
             return InvarianceReport(False, n_max, (n, "determinant"))
     if entrywise is not None:
         return InvarianceReport(False, n_max, (entrywise, "entrywise"))

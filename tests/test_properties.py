@@ -108,12 +108,13 @@ def test_detection_matches_order_search(terms, window):
 
 # a0 = 0 makes the first pivot zero; the rest of the prefix then decides
 # whether the first row of the Schur complement vanishes (every larger
-# minor is 0) or the orders above stay undetermined and each needs an
-# elimination of its own
+# minor is 0) or the elimination looks ahead over a block of zero minors;
+# sparse prefixes put zero pivots, and zero runs of any length, anywhere
 zero_led = st.one_of(
     st.lists(small_ints, min_size=0, max_size=21).map(lambda t: [0] + t),
     st.lists(st.sampled_from([0, 0, 1, -1]), min_size=0, max_size=21).map(lambda t: [0] + t),
     c_finite(st.integers(-3, 3)).map(lambda t: [0] + t),
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=1, max_size=25),
 )
 minor_prefixes = st.one_of(
     st.lists(small_ints, min_size=1, max_size=25),
@@ -139,6 +140,26 @@ def test_table_and_detection_match_eliminations_by_order(terms, cut):
         expected = det_table_by_order(seq)
         assert det_table == expected
         assert list(map(type, det_table)) == list(map(type, expected))
+
+
+symmetric_rows = st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 3]), min_size=n, max_size=n),
+    min_size=n, max_size=n,
+))
+
+
+@PROPERTY
+@given(symmetric_rows)
+@example([[0, 1, 0], [1, 0, 0], [0, 0, 0]])  # a 2 x 2 block, then rank 2
+@example([[0, 0, 1], [0, 0, 0], [1, 0, 0]])  # no nonsingular block ahead
+@example([[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 0, 1], [1, 1, 1, 2]])
+def test_leading_minors_of_symmetric_matrices(rows):
+    # the look-ahead past zero pivots holds for any symmetric matrix, not
+    # only a Hankel one; the upper triangle defines the matrix
+    n = len(rows)
+    sym = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    expected = [hankel._bareiss_det([row[:k] for row in sym[:k]]) for k in range(1, n + 1)]
+    assert hankel._leading_minors(sym) == expected
 
 
 @PROPERTY
@@ -176,6 +197,7 @@ def test_memoized_determinants_never_cross_sequences(first, second, schedule, pa
 
 invariance_prefixes = st.one_of(
     st.lists(st.integers(-1000, 1000), min_size=1, max_size=25),
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=1, max_size=25),
     st.lists(fractions, min_size=1, max_size=25),
     zero_led,
     c_finite(st.integers(-3, 3)),

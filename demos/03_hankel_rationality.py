@@ -15,7 +15,6 @@ from pseudopoly import (
     ExactSequence,
     detect_rationality,
     generate_primary,
-    hankel_matrix,
     hankel_table,
     singular_directions,
     verify_transform_invariance,
@@ -65,5 +64,5 @@ print("=" * 70)
 fact = detect_rationality(ExactSequence.of([math.factorial(n) for n in range(15)]))
 print(f"factorials: function = {fact.function}, zero run = {fact.zero_run}")
 print("Hankel matrix of factorials, order 3:")
-for row in hankel_matrix(ExactSequence.of([math.factorial(n) for n in range(5)]), 3).to_rows():
-    print("  ", row)
+for i in range(3):
+    print("  ", [math.factorial(i + j) for j in range(3)])

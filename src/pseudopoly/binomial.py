@@ -10,10 +10,9 @@ arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
-from .core import Exact, ExactSequence, InputError
+from .core import ExactSequence, InputError
 from .primes import sieve_flags
 
 
@@ -24,49 +23,6 @@ def binomial_rows(n_max: int) -> list[list[int]]:
         prev = rows[-1]
         rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1])
     return rows
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Dense matrix of exact numbers, row-major storage."""
-
-    rows: int
-    cols: int
-    entries: tuple[Exact, ...]
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise InputError("matrix dimensions must be positive")
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(self.entries))
-        if len(self.entries) != self.rows * self.cols:
-            raise InputError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for e in self.entries:
-            if isinstance(e, bool) or not isinstance(e, (int, Fraction)):
-                raise InputError("matrix entries must be exact numbers")
-
-    @classmethod
-    def from_rows(cls, rows: list[list[Exact]]) -> "ExactMatrix":
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise InputError("ragged rows")
-            flat.extend(row)
-        return cls(r, c, tuple(flat))
-
-    def at(self, i: int, j: int) -> Exact:
-        """Entry at 0-based (i, j)."""
-        return self.entries[i * self.cols + j]
-
-    def to_rows(self) -> list[list[Exact]]:
-        return [
-            list(self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        ]
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,8 @@ def _emit(text: str) -> None:
 
 
 def _cmd_gen(args) -> int:
+    if args.generator != "poly" and args.bound < 0:
+        raise InputError(f"--bound must be >= 0, got {args.bound}")
     if args.generator == "poly":
         raw = args.coeffs
         if raw.startswith("@"):

@@ -1,28 +1,25 @@
-"""Exact Hankel matrices and determinants, transform invariance, the
-primorial-power divisibility audit, and rationality detection with
-rational-function reconstruction.
+"""Exact Hankel determinants, transform invariance, the primorial-power
+divisibility audit, and rationality detection with rational-function
+reconstruction.
 
 The determinant of the order-n Hankel matrix of an integer sequence is an
 integer, and for congruence-preserving sequences it is divisible by the
-product over primes p <= n-1 of p^(n-p).  H_k is the leading k x k block of
-H_n, so one fraction-free Bareiss elimination without pivoting over H_n
-(Bareiss 1968) yields every det H_k as its k-th pivot.  At a zero pivot
-after k steps each remaining entry is det H_k times an entry of the Schur
-complement (Sylvester's identity).  If its first row is zero (as when the
-rank is k) every larger leading minor vanishes; otherwise the pass looks
-ahead for the smallest nonsingular leading block of the complement, reads
-the zero minors below it and the next nonzero one off its determinant, and
-steps over the whole block at once.  A rational prefix is first scaled by
-the lcm D of its denominators, since det H_n(a) = det H_n(D a) / D^n.
+product over primes p <= n-1 of p^(n-p).  Every det H_k of a prefix comes
+from one subresultant pseudo-remainder sequence of x^(2n) and the prefix's
+generating polynomial, truncated to the coefficients the prefix decides: a
+zero minor is a degree jump of that sequence, not a special case.  A
+rational prefix is first scaled by the lcm D of its denominators, since
+det H_n(a) = det H_n(D a) / D^n.
 
 ``hankel_determinant`` answers from a one-slot memo of the last sequence
 (compared by identity) and its minors, so a caller that asks for the
-orders from the top down pays one elimination per prefix; the table, the
-detection and the audit all ask that way.
+orders from the top down pays one remainder sequence per prefix; the
+table, the detection and the audit all ask that way.
 
 Rationality detection uses the classical criterion that a power series is
 rational iff almost all of its Hankel determinants vanish, made finite by a
-trailing zero-window rule.  The minimal recurrence comes from one
+trailing zero-window rule.  Only a prefix whose last ``window`` minors
+vanish is searched for a recurrence.  The minimal recurrence comes from one
 Berlekamp-Massey pass over the rationals (Massey 1969), which returns the
 linear complexity L of the prefix and the recurrence coefficients.  It is
 used only when N >= 2L + window; then N >= 2L, and Massey shows that the
@@ -37,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .binomial import ExactMatrix, binomial_transform, lower_triangular_rows
+from .binomial import binomial_transform, lower_triangular_rows
 from .core import (
     Exact,
     ExactSequence,
@@ -153,140 +150,49 @@ def _hankel_rows(values: list, n: int) -> list[list]:
     return [[values[i + j] for j in range(n)] for i in range(n)]
 
 
-def hankel_matrix(seq: ExactSequence, n: int) -> ExactMatrix:
-    """Order-n Hankel matrix: 1-based entry (i, j) is term i + j - 2."""
-    if n < 1:
-        raise InputError("order must be >= 1")
-    if len(seq) < 2 * n - 1:
-        raise InputError(
-            f"order {n} needs a prefix of length {2 * n - 1}, have {len(seq)}"
-        )
-    return ExactMatrix.from_rows(_hankel_rows(list(seq.terms), n))
+def _leading_minors(values: list[int], n: int) -> list[int]:
+    """det H_1 .. det H_n of the integer prefix a_0 .. a_(2n-2) in ``values``.
 
-
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix.
-
-    One-step Bareiss elimination with row pivoting: every intermediate is
-    an exact integer (each division below is exact by Sylvester's
-    identity), which keeps entry growth polynomial instead of the
-    exponential blowup of naive expansion.  ``_leading_minors`` uses it on
-    the blocks it looks ahead over at a zero pivot.
+    det H_k = (-1)^(k(k-1)/2) psc_(2n-k), the principal subresultant
+    coefficient of degree 2n - k of x^(2n) and G = sum a_i x^(2n-1-i)
+    (Collins 1967; Brown and Traub 1971), and the beta/psi subresultant PRS
+    of the two yields them: the pseudo-remainder by a divisor of degree d,
+    divided by beta, is the subresultant S_(d-1).  If its degree is
+    d - 1 - e, the e coefficients psc_j in between are 0 and the next
+    is lc^(e+1) / psc_d^e, so a zero minor is only a degree jump.  Of a
+    remainder by a divisor of degree d, the prefix decides the coefficients
+    of degree >= 2n + 1 - d, which are all that the orders up to n need: it
+    keeps those 2d - 2n - 1, and dividend and divisor stay of equal length.
+    When all of them vanish every larger minor is 0.
     """
-    n = len(rows)
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            mi = m[i]
-            mk = m[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
-            mi[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def _leading_minors(rows: list[list[int]]) -> list[int]:
-    """det of the leading k x k block of a symmetric integer matrix for
-    k = 1..n, from one Bareiss pass without pivoting.
-
-    After k steps, entry (i, j) with i, j >= k is the minor of the leading
-    k x k block bordered by row i and column j, so the k-th pivot is the
-    order-(k + 1) leading minor, and the stage stays symmetric: only the
-    upper triangle is kept.  At a zero pivot the rest is det H_k times the
-    Schur complement S, and the leading s x s block of the stage has
-    determinant det H_(k+s) * det H_k^(s-1).  If the first row of S is zero
-    every larger minor is 0 (this covers rank k); otherwise the smallest s
-    with a nonsingular block gives the next nonzero minor, and
-    ``_block_step`` carries the stage past that block.
-    """
-    n = len(rows)
-    m = [row[:] for row in rows]
+    prefix = values[: max(2 * n - 1, 0)]
+    skip = next((i for i, v in enumerate(prefix) if v), len(prefix))
+    divisor = prefix[skip:]
+    if not divisor:
+        return [0] * n
+    dividend = [1] + [0] * (len(divisor) - 1)
+    deg_f, deg_g = 2 * n, 2 * n - 1 - skip
+    lc_f = psc_f = 1
     minors = []
-    prev = 1
-    k = 0
-    while k < n:
-        mk = m[k]
-        pivot = mk[k]
-        if pivot == 0:
-            if not any(mk[k:]):
-                return minors + [0] * (n - k)
-            for s in range(2, n - k + 1):
-                block = [[m[k + min(a, b)][k + max(a, b)] for b in range(s)]
-                         for a in range(s)]
-                block_det = _bareiss_det(block)
-                if block_det:
-                    break
-            else:
-                return minors + [0] * (n - k)
-            det = block_det // prev ** (s - 1)
-            minors += [0] * (s - 1) + [det]
-            _block_step(m, k, block, block_det, prev)
-            prev = det
-            k += s
-            continue
-        minors.append(pivot)
-        for i in range(k + 1, n):
-            mi = m[i]
-            mki = mk[i]
-            mi[i:] = [(x * pivot - mki * y) // prev for x, y in zip(mi[i:], mk[i:])]
-        prev = pivot
-        k += 1
-    return minors
-
-
-def _block_step(m: list[list[int]], k: int, block: list[list[int]], block_det: int,
-                prev: int) -> None:
-    """Advance the upper triangle of a Bareiss stage (after k steps, with
-    previous pivot ``prev``) over its nonsingular leading s x s ``block``.
-
-    Entry (i, j) past the block becomes the minor bordered by i and j of
-    the leading k + s rows and columns: det [[B, r_j], [r_i^T, t]] over
-    prev^s by Sylvester's identity, where that determinant is
-    det B * t - r_i^T adj(B) r_j and r_i is column i of the block's rows.
-    """
-    s = len(block)
-    n = len(m)
-    inverse = _inverse(block)
-    adjugate = [[int(block_det * x) for x in row] for row in inverse]
-    cols = {i: [m[k + a][i] for a in range(s)] for i in range(k + s, n)}
-    adj_cols = {i: [sum(map(operator.mul, row, r)) for row in adjugate]
-                for i, r in cols.items()}
-    scale = prev**s
-    for i in range(k + s, n):
-        mi = m[i]
-        r_i = cols[i]
-        mi[i:] = [(block_det * mi[j] - sum(map(operator.mul, r_i, adj_cols[j]))) // scale
-                  for j in range(i, n)]
-
-
-def _inverse(rows: list[list[int]]) -> list[list[Fraction]]:
-    """Inverse of a nonsingular integer matrix, by Gauss-Jordan over Q."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[p] = aug[p], aug[c]
-        pivot_row = [x / aug[c][c] for x in aug[c]]
-        aug[c] = pivot_row
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], pivot_row)]
-    return [row[n:] for row in aug]
+    while True:
+        delta = deg_f - deg_g
+        lc_g = divisor[0]
+        psc_g = lc_g**delta // psc_f ** (delta - 1)
+        k = 2 * n - deg_g
+        minors += [0] * (delta - 1) + [-psc_g if k % 4 in (2, 3) else psc_g]
+        if deg_g <= n:
+            return minors[:n]
+        rem = dividend
+        for _ in range(delta + 1):
+            lead = rem[0]
+            rem = [lc_g * x - lead * y for x, y in zip(rem[1:], divisor[1:])]
+        beta = -lc_f * (-psc_f) ** delta
+        rem = [x // beta for x in rem]
+        skip = next((i for i, x in enumerate(rem) if x), len(rem))
+        if skip == len(rem):
+            return minors + [0] * (n - len(minors))
+        dividend, divisor = divisor[: len(rem) - skip], rem[skip:]
+        deg_f, deg_g, lc_f, psc_f = deg_g, deg_g - 1 - skip, lc_g, psc_g
 
 
 def _clear_denominators(terms) -> tuple[list[int], int]:
@@ -305,7 +211,7 @@ def hankel_determinant(seq: ExactSequence, n: int) -> Exact:
     """Exact determinant of the order-n Hankel matrix (order 0 gives 1).
 
     Answered from the memo of ``seq``'s leading minors; a larger order or
-    another sequence object redoes the elimination at order n.
+    another sequence object runs the remainder sequence again at order n.
     """
     global _minors_memo
     if n == 0:
@@ -322,7 +228,7 @@ def hankel_determinant(seq: ExactSequence, n: int) -> Exact:
             values, scale = list(seq.terms[: 2 * n - 1]), None
         else:
             values, scale = _clear_denominators(seq.terms[: 2 * n - 1])
-        memo = (seq, scale, _leading_minors(_hankel_rows(values, n)))
+        memo = (seq, scale, _leading_minors(values, n))
         _minors_memo = memo
     _, scale, minors = memo
     det = minors[n - 1]
@@ -357,7 +263,7 @@ def _exact_valuation(value: Exact, p: int) -> int | float:
 
 def _determinants(seq: ExactSequence, n_max: int) -> list[Exact]:
     """det H_1 .. det H_n_max, asked for from the top order down so that
-    one elimination serves them all."""
+    one remainder sequence serves them all."""
     return [hankel_determinant(seq, n) for n in range(n_max, 0, -1)][::-1]
 
 
@@ -470,8 +376,8 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
         default=None,
     )
     agreed = n_max if entrywise is None else entrywise - 1
-    minors_a = _leading_minors(_hankel_rows(a, agreed))
-    minors_b = _leading_minors(_hankel_rows(b, agreed))
+    minors_a = _leading_minors(a, agreed)
+    minors_b = _leading_minors(b, agreed)
     for n in range(1, agreed + 1):
         if minors_a[n - 1] != minors_b[n - 1]:
             return InvarianceReport(False, n_max, (n, "determinant"))
@@ -545,8 +451,9 @@ def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetect
     The decision rule: the minimal constant-coefficient recurrence that
     fits the entire prefix must have an order r with 2r + window <= N, and
     the Hankel determinants must vanish for the last ``window`` observable
-    orders.  Berlekamp-Massey finds that recurrence in one pass over the
-    rationals; since N >= 2r + window > 2r, it is the unique recurrence of
+    orders.  The determinants are checked first, and only a zero window
+    leads on to Berlekamp-Massey, which finds that recurrence in one pass
+    over the rationals; since N >= 2r + window > 2r, it is the unique recurrence of
     order r on the prefix.  Rational input needs no special case: the
     determinants clear denominators, and the recurrence is found over Q.
     On success the recurrence is turned into a numerator / denominator pair
@@ -561,21 +468,22 @@ def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetect
         raise InputError(
             f"window {window} needs a prefix of length {2 * window + 2}, have {n_terms}"
         )
-    terms = [Fraction(t) for t in seq.terms]
     det_table = tuple(_determinants(seq, max_order(seq)))
     zero_run = 0
     for d in reversed(det_table):
         if d != 0:
             break
         zero_run += 1
-    coeffs = _berlekamp_massey(terms)
-    order = len(coeffs)
-    for n in range(order, n_terms):
-        if sum(map(operator.mul, coeffs, terms[n - 1 :: -1])) != terms[n]:
-            raise InternalInvariantError(
-                "Berlekamp-Massey recurrence does not reproduce the prefix"
-            )
     function = None
-    if 2 * order + window <= n_terms and all(d == 0 for d in det_table[-window:]):
-        function = _reconstruct(terms, coeffs)
+    if all(d == 0 for d in det_table[-window:]):
+        terms = [Fraction(t) for t in seq.terms]
+        coeffs = _berlekamp_massey(terms)
+        order = len(coeffs)
+        for n in range(order, n_terms):
+            if sum(map(operator.mul, coeffs, terms[n - 1 :: -1])) != terms[n]:
+                raise InternalInvariantError(
+                    "Berlekamp-Massey recurrence does not reproduce the prefix"
+                )
+        if 2 * order + window <= n_terms:
+            function = _reconstruct(terms, coeffs)
     return RationalityDetection(function, det_table, zero_run, window)

@@ -1,18 +1,18 @@
 """Slow reference implementations kept as test oracles.
 
 The library finds recurrences with one Berlekamp-Massey pass, computes
-rational Hankel determinants by clearing denominators before an integer
-Bareiss elimination, reads every Hankel determinant of a prefix off the
-pivots of one elimination without pivoting, checks transform invariance
-with one conjugation at the largest order, and reads the binomial
-transform, the polynomiality certificate and the power-of-(1 - x) test off
-one forward-difference table.  The routines below are the direct methods
+rational Hankel determinants by clearing denominators first, reads every
+Hankel determinant of a prefix off one truncated subresultant
+pseudo-remainder sequence, checks transform invariance with one
+conjugation at the largest order, and reads the binomial transform, the
+polynomiality certificate and the power-of-(1 - x) test off one
+forward-difference table.  The routines below are the direct methods
 those replaced: a Gauss-Jordan solve over the rationals for every
-candidate recurrence order, Gaussian elimination over the rationals, an
-elimination with row pivoting for every Hankel order, a conjugation for
-every order, explicit signed-binomial sums, an iterated-difference loop
-and synthetic division by (1 - x).  The property tests compare the fast
-paths against them.
+candidate recurrence order, Gaussian elimination over the rationals, a
+fraction-free Bareiss elimination with row pivoting for every Hankel
+order, a conjugation for every order, explicit signed-binomial sums, an
+iterated-difference loop and synthetic division by (1 - x).  The property
+tests compare the fast paths against them.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from pseudopoly.hankel import (
     HankelRecord,
     InvarianceReport,
     RationalFunction,
-    _bareiss_det,
     _clear_denominators,
     _conjugate_by_lower_triangular,
     _exact_valuation,
@@ -56,6 +55,38 @@ def rational_det(rows: list[list]) -> Fraction:
                 for j in range(k, n):
                     m[i][j] -= f * m[k][j]
     return det
+
+
+def bareiss_det(rows: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix.
+
+    One-step Bareiss elimination with row pivoting (Bareiss 1968): every
+    intermediate is an exact integer, since each division below is exact
+    by Sylvester's identity.
+    """
+    n = len(rows)
+    m = [row[:] for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            mi = m[i]
+            mk = m[k]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
+            mi[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -137,9 +168,9 @@ def determinant_by_order(seq: ExactSequence, n: int):
     """det H_n by an elimination of its own, with row pivoting, after
     clearing denominators."""
     if seq.is_integer:
-        return _bareiss_det(_hankel_rows(seq.integer_terms(), n))
+        return bareiss_det(_hankel_rows(seq.integer_terms(), n))
     scaled, scale = _clear_denominators(seq.terms[: 2 * n - 1])
-    return Fraction(_bareiss_det(_hankel_rows(scaled, n)), scale**n)
+    return Fraction(bareiss_det(_hankel_rows(scaled, n)), scale**n)
 
 
 def hankel_table_by_order(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
@@ -187,7 +218,7 @@ def invariance_by_order(seq: ExactSequence, n_max: int) -> InvarianceReport:
         conjugated = _conjugate_by_lower_triangular(hankel.lower_triangular_rows(n), h_f)
         if conjugated != h_g:
             return InvarianceReport(False, n_max, (n, "entrywise"))
-        if _bareiss_det(h_f) != _bareiss_det(h_g):
+        if bareiss_det(h_f) != bareiss_det(h_g):
             return InvarianceReport(False, n_max, (n, "determinant"))
     return InvarianceReport(True, n_max, None)
 

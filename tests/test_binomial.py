@@ -6,7 +6,6 @@ import pytest
 
 from oracles import matmul, signed_binomial_sums
 from pseudopoly import (
-    ExactMatrix,
     ExactSequence,
     InputError,
     IntPolynomial,
@@ -174,13 +173,3 @@ class TestPrimorialDivisibility:
     def test_rejects_rational_input(self):
         with pytest.raises(InputError):
             check_primorial_divisibility(ExactSequence.of(["1/2", "3", "4"]))
-
-
-class TestExactMatrix:
-    def test_shape_validation(self):
-        with pytest.raises(InputError):
-            ExactMatrix(2, 2, (1, 2, 3))
-
-    def test_rejects_floats(self):
-        with pytest.raises(InputError):
-            ExactMatrix(1, 1, (1.5,))

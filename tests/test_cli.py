@@ -86,6 +86,20 @@ class TestGen:
         assert run_cli(["gen", "hall", "--n-max", "6", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == ["0"] * 6
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "primary", "--n-max", "5", "--bound", "-1"],
+            ["gen", "hall", "--n-max", "5", "--seed", "1", "--bound", "-1"],
+        ],
+        ids=["primary", "hall"],
+    )
+    def test_negative_bound_is_input_error(self, argv, capsys):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --bound must be >= 0")
+
 
 class TestCheckAndTransform:
     def test_congruence_violation_exit_code(self, tmp_path, capsys):

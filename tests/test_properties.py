@@ -1,13 +1,14 @@
 """Property tests: the fast exact paths against their slow oracles.
 
 Rationality detection (one Berlekamp-Massey pass) is compared with the
-order-by-order recurrence search, cleared-denominator Bareiss
-determinants with Gaussian elimination over the rationals, the leading
-minors of one elimination (the Hankel table, detection's determinant
-evidence, memoized determinants, transform invariance) with an
-elimination per order, and the forward-difference table (transform pair,
-polynomiality certificate, power-of-(1 - x) test) with explicit binomial
-sums, the iterated-difference loop and synthetic division.
+order-by-order recurrence search, cleared-denominator determinants with
+Gaussian elimination over the rationals, the leading minors of one
+truncated subresultant remainder sequence (the Hankel table, detection's
+determinant evidence, memoized determinants, transform invariance) with a
+Bareiss elimination per order, and the forward-difference table
+(transform pair, polynomiality certificate, power-of-(1 - x) test) with
+explicit binomial sums, the iterated-difference loop and synthetic
+division.
 """
 import math
 from fractions import Fraction
@@ -106,15 +107,14 @@ def test_detection_matches_order_search(terms, window):
     assert detection.function == detect_function(seq, window)
 
 
-# a0 = 0 makes the first pivot zero; the rest of the prefix then decides
-# whether the first row of the Schur complement vanishes (every larger
-# minor is 0) or the elimination looks ahead over a block of zero minors;
-# sparse prefixes put zero pivots, and zero runs of any length, anywhere
+# a0 = 0 makes the remainder sequence open with a degree jump; sparse
+# prefixes put jumps of any length anywhere, up to order 21, and let
+# remainders vanish
 zero_led = st.one_of(
     st.lists(small_ints, min_size=0, max_size=21).map(lambda t: [0] + t),
     st.lists(st.sampled_from([0, 0, 1, -1]), min_size=0, max_size=21).map(lambda t: [0] + t),
     c_finite(st.integers(-3, 3)).map(lambda t: [0] + t),
-    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=1, max_size=25),
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=1, max_size=41),
 )
 minor_prefixes = st.one_of(
     st.lists(small_ints, min_size=1, max_size=25),
@@ -128,8 +128,8 @@ minor_prefixes = st.one_of(
 
 @PROPERTY
 @given(minor_prefixes, st.integers(0, 13))
-@example([0, 1, 0, 0, 0], 0)  # zero pivot, nonzero Schur complement
-@example([0, 0, 0, 0, 1], 0)  # its first row is zero, the rest is not
+@example([0, 1, 0, 0, 0], 0)  # a0 = 0, then a nonzero minor
+@example([0, 0, 0, 0, 1], 0)  # one jump past the largest order
 @example([0] * 9, 0)
 def test_table_and_detection_match_eliminations_by_order(terms, cut):
     seq = ExactSequence.of(terms)
@@ -142,24 +142,26 @@ def test_table_and_detection_match_eliminations_by_order(terms, cut):
         assert list(map(type, det_table)) == list(map(type, expected))
 
 
-symmetric_rows = st.integers(1, 7).flatmap(lambda n: st.lists(
-    st.lists(st.sampled_from([0, 0, 0, 1, -1, 3]), min_size=n, max_size=n),
-    min_size=n, max_size=n,
-))
-
-
 @PROPERTY
-@given(symmetric_rows)
-@example([[0, 1, 0], [1, 0, 0], [0, 0, 0]])  # a 2 x 2 block, then rank 2
-@example([[0, 0, 1], [0, 0, 0], [1, 0, 0]])  # no nonsingular block ahead
-@example([[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 0, 1], [1, 1, 1, 2]])
-def test_leading_minors_of_symmetric_matrices(rows):
-    # the look-ahead past zero pivots holds for any symmetric matrix, not
-    # only a Hankel one; the upper triangle defines the matrix
-    n = len(rows)
-    sym = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-    expected = [hankel._bareiss_det([row[:k] for row in sym[:k]]) for k in range(1, n + 1)]
-    assert hankel._leading_minors(sym) == expected
+@given(minor_prefixes, st.integers(0, 13))
+@example([0, 1, 2, 3, 4, 5, 6], 0)  # a0 = 0: the first divisor drops a degree
+@example([-1, -1, 0, 0, 0, 0, -1, 0, 0], 0)  # a jump with e = 2 after order 2
+@example([0, 1, 1, 2, 3, 5, 8, 13, 21], 0)  # every kept coefficient vanishes
+@example([0, 1, 0, 0, 0, 0, 0, -1, 1], 0)  # a jump past the largest order
+@example([0] * 9, 0)
+@example([5], 0)
+@example([0], 0)
+def test_leading_minors_of_symmetric_matrices(terms, cut):
+    # every branch of the truncated remainder sequence against an
+    # elimination per order, on the symmetric matrices H_1 .. H_n
+    seq = ExactSequence.of(terms)
+    n = max(0, max_order(seq) - cut)
+    values, scale = hankel._clear_denominators(seq.terms)
+    minors = hankel._leading_minors(values, n)
+    assert len(minors) == n
+    assert [Fraction(d, scale**k) for k, d in enumerate(minors, 1)] == [
+        determinant_by_order(seq, k) for k in range(1, n + 1)
+    ]
 
 
 @PROPERTY

@@ -6,6 +6,7 @@ approximate quantities (growth proxies, capacity estimates, root finding).
 """
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,22 @@ def log_abs_exact(value: "Exact") -> float:
     if isinstance(value, Fraction):
         return math.log(abs(value.numerator)) - math.log(value.denominator)
     return math.log(abs(value))
+
+
+def exact_str(value: "Exact") -> str:
+    """str(value) for an int or Fraction of any size.
+
+    str() refuses an int with more digits than the interpreter's
+    int-to-str limit (4300 by default); Decimal converts it exactly
+    whatever that limit is, so the limit itself is left as it is set.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, Fraction):
+            num = exact_str(value.numerator)
+            return num if value.denominator == 1 else f"{num}/{exact_str(value.denominator)}"
+        return str(decimal.Decimal(value))
 
 
 class InputError(ValueError):
@@ -157,10 +174,10 @@ class IntPolynomial:
             if c == 0:
                 continue
             if k == 0:
-                body = str(abs(c))
+                body = exact_str(abs(c))
             else:
                 power = "x" if k == 1 else f"x^{k}"
-                body = power if abs(c) == 1 else f"{abs(c)}*{power}"
+                body = power if abs(c) == 1 else f"{exact_str(abs(c))}*{power}"
             if not pieces:
                 pieces.append(body if c > 0 else f"-{body}")
             else:

@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 
 from .analytic import SingularityReport, theta_rows
 from .audit import AuditReport
-from .core import ExactSequence, IntPolynomial, InputError
+from .core import ExactSequence, IntPolynomial, InputError, exact_str
 from .hankel import InvarianceReport, RationalityDetection
 from .sequences import CongruenceReport
 
@@ -23,11 +24,21 @@ from .sequences import CongruenceReport
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
-def _decimal(text: str) -> int:
-    """The value of a decimal integer string; ValueError if it is not one."""
+def _digit_limit(what: str) -> InputError:
+    return InputError(
+        f"{what} has more than {sys.get_int_max_str_digits()} digits, "
+        "the input limit for one integer"
+    )
+
+
+def _decimal(text: str) -> int | None:
+    """The value of a decimal integer string, None if it is not one."""
     if not _DECIMAL.fullmatch(text):
-        raise ValueError(text)
-    return int(text)
+        return None
+    try:
+        return int(text)
+    except ValueError as exc:  # the interpreter's int-from-str digit limit
+        raise _digit_limit("a decimal integer") from exc
 
 
 def _parse_json_integers(text: str, what: str, not_array: str, entries: str) -> list[int]:
@@ -37,15 +48,17 @@ def _parse_json_integers(text: str, what: str, not_array: str, entries: str) -> 
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad JSON {what}: {exc}") from exc
+    except ValueError as exc:  # a bare integer literal past the digit limit
+        raise _digit_limit(f"an integer literal in the JSON {what}") from exc
     if not isinstance(data, list):
         raise InputError(not_array)
     values = []
     for v in data:
         if isinstance(v, str):
-            try:
-                values.append(_decimal(v))
-            except ValueError as exc:
-                raise InputError(f"not a decimal integer string: {v!r}") from exc
+            value = _decimal(v)
+            if value is None:
+                raise InputError(f"not a decimal integer string: {v!r}")
+            values.append(value)
         elif isinstance(v, int) and not isinstance(v, bool):
             values.append(v)
         else:
@@ -67,18 +80,18 @@ def parse_sequence(text: str) -> ExactSequence:
         line = line.strip()
         if not line:
             continue
-        try:
-            terms.append(_decimal(line))
-        except ValueError as exc:
-            raise InputError(f"line {line_no} is not a decimal integer: {line!r}") from exc
+        value = _decimal(line)
+        if value is None:
+            raise InputError(f"line {line_no} is not a decimal integer: {line!r}")
+        terms.append(value)
     return ExactSequence.of(terms)
 
 
 def render_sequence(seq: ExactSequence, fmt: str = "lines") -> str:
     if fmt == "lines":
-        return "\n".join(str(t) for t in seq.terms) + "\n"
+        return "\n".join(map(exact_str, seq.terms)) + "\n"
     if fmt == "json":
-        return json.dumps([str(t) for t in seq.terms]) + "\n"
+        return json.dumps(list(map(exact_str, seq.terms))) + "\n"
     raise InputError(f"unknown sequence format {fmt!r}")
 
 
@@ -93,7 +106,7 @@ def parse_polynomial(text: str) -> IntPolynomial:
 
 
 def render_polynomial(poly: IntPolynomial) -> str:
-    return json.dumps([str(c) for c in poly.coefficients])
+    return json.dumps(list(map(exact_str, poly.coefficients)))
 
 
 def dumps(obj) -> str:
@@ -132,8 +145,8 @@ def hankel_json_obj(records) -> list[dict]:
         out.append(
             {
                 "n": rec.n,
-                "det": str(rec.det),
-                "required_divisor": str(rec.required_divisor),
+                "det": exact_str(rec.det),
+                "required_divisor": exact_str(rec.required_divisor),
                 "divisible": rec.divisible,
                 "normalized_growth": rec.normalized_growth,
                 "valuations": {
@@ -150,7 +163,7 @@ def hankel_csv(records) -> str:
     for rec in records:
         growth = "" if rec.normalized_growth is None else repr(rec.normalized_growth)
         lines.append(
-            f"{rec.n},{rec.det},{rec.required_divisor},"
+            f"{rec.n},{exact_str(rec.det)},{exact_str(rec.required_divisor)},"
             f"{'true' if rec.divisible else 'false'},{growth}"
         )
     return "\n".join(lines) + "\n"
@@ -171,7 +184,7 @@ def rationality_json_obj(detection: RationalityDetection) -> dict:
         "rational": detection.function is not None,
         "window": detection.window,
         "zero_run": detection.zero_run,
-        "det_table": [str(d) for d in detection.det_table],
+        "det_table": list(map(exact_str, detection.det_table)),
     }
     if detection.function is not None:
         func = detection.function
@@ -180,10 +193,10 @@ def rationality_json_obj(detection: RationalityDetection) -> dict:
                 "order": func.order,
                 "numerator": str(func.numerator),
                 "denominator": str(func.denominator),
-                "numerator_coefficients": [str(c) for c in func.numerator.coefficients],
-                "denominator_coefficients": [
-                    str(c) for c in func.denominator.coefficients
-                ],
+                "numerator_coefficients": list(map(exact_str, func.numerator.coefficients)),
+                "denominator_coefficients": list(
+                    map(exact_str, func.denominator.coefficients)
+                ),
             }
         )
     return obj
@@ -191,7 +204,7 @@ def rationality_json_obj(detection: RationalityDetection) -> dict:
 
 def rationality_csv(detection: RationalityDetection) -> str:
     lines = ["n,det"]
-    lines += [f"{n},{d}" for n, d in enumerate(detection.det_table, start=1)]
+    lines += [f"{n},{exact_str(d)}" for n, d in enumerate(detection.det_table, start=1)]
     return "\n".join(lines) + "\n"
 
 

@@ -17,14 +17,14 @@ orders from the top down pays one remainder sequence per prefix; the
 table, the detection and the audit all ask that way.
 
 Rationality detection uses the classical criterion that a power series is
-rational iff almost all of its Hankel determinants vanish, made finite by a
-trailing zero-window rule.  Only a prefix whose last ``window`` minors
-vanish is searched for a recurrence.  The minimal recurrence comes from one
-Berlekamp-Massey pass over the rationals (Massey 1969), which returns the
-linear complexity L of the prefix and the recurrence coefficients.  It is
-used only when N >= 2L + window; then N >= 2L, and Massey shows that the
-shortest recurrence is unique, so the reconstruction does not depend on how
-the recurrence was found.
+rational iff almost all of its Hankel determinants vanish (Kronecker 1881),
+made finite by a trailing zero-window rule.  Only a prefix whose last
+``window`` minors vanish is searched for a recurrence, and the same
+remainder sequence gives it: the cofactor of the prefix polynomial in the
+remainder that vanishes has the order L of the last nonzero minor, and since
+det H_L != 0 it is the unique solution of H_L c = (a_L .. a_(2L-1))
+(Jonckheere and Ma 1989).  It is used only when N >= 2L + window, and it
+is checked on every term in integers.
 """
 from __future__ import annotations
 
@@ -150,8 +150,9 @@ def _hankel_rows(values: list, n: int) -> list[list]:
     return [[values[i + j] for j in range(n)] for i in range(n)]
 
 
-def _leading_minors(values: list[int], n: int) -> list[int]:
-    """det H_1 .. det H_n of the integer prefix a_0 .. a_(2n-2) in ``values``.
+def _leading_minors(values: list[int], n: int) -> tuple[list[int], list[int] | None]:
+    """det H_1 .. det H_n of the integer prefix a_0 .. a_(2n-2) in ``values``,
+    and the denominator of the recurrence that prefix satisfies, if any.
 
     det H_k = (-1)^(k(k-1)/2) psc_(2n-k), the principal subresultant
     coefficient of degree 2n - k of x^(2n) and G = sum a_i x^(2n-1-i)
@@ -163,17 +164,26 @@ def _leading_minors(values: list[int], n: int) -> list[int]:
     remainder by a divisor of degree d, the prefix decides the coefficients
     of degree >= 2n + 1 - d, which are all that the orders up to n need: it
     keeps those 2d - 2n - 1, and dividend and divisor stay of equal length.
-    When all of them vanish every larger minor is 0.
+    When all of them vanish every larger minor is 0, and the remainder is
+    V G mod x^(2n) with deg V = L = 2n - d, the order of the last nonzero
+    minor (Brent, Gustavson and Yun 1980): sum_j v_j a_(k+j) = 0 for
+    k + L <= 2n - 2.  V, highest degree first, is the returned integer
+    denominator of the generating function, lowest degree first: [1] for
+    an all-zero prefix, None when the sequence ends without vanishing.  V
+    is folded from the recorded steps only then, since V_0 = 0, V_1 = 1
+    and V_(i+1) = (lc^(delta+1) V_(i-1) - Q_i V_i) / beta, as for the
+    remainders.
     """
     prefix = values[: max(2 * n - 1, 0)]
     skip = next((i for i, v in enumerate(prefix) if v), len(prefix))
     divisor = prefix[skip:]
     if not divisor:
-        return [0] * n
+        return [0] * n, [1]
     dividend = [1] + [0] * (len(divisor) - 1)
     deg_f, deg_g = 2 * n, 2 * n - 1 - skip
     lc_f = psc_f = 1
     minors = []
+    steps = []
     while True:
         delta = deg_f - deg_g
         lc_g = divisor[0]
@@ -181,16 +191,26 @@ def _leading_minors(values: list[int], n: int) -> list[int]:
         k = 2 * n - deg_g
         minors += [0] * (delta - 1) + [-psc_g if k % 4 in (2, 3) else psc_g]
         if deg_g <= n:
-            return minors[:n]
-        rem = dividend
+            return minors[:n], None
+        rem, quotient = dividend, []
         for _ in range(delta + 1):
             lead = rem[0]
+            quotient = [lc_g * q for q in quotient] + [lead]
             rem = [lc_g * x - lead * y for x, y in zip(rem[1:], divisor[1:])]
         beta = -lc_f * (-psc_f) ** delta
+        steps.append((quotient, lc_g ** (delta + 1), beta))
         rem = [x // beta for x in rem]
         skip = next((i for i, x in enumerate(rem) if x), len(rem))
         if skip == len(rem):
-            return minors + [0] * (n - len(minors))
+            prev, den = [], [1]
+            for quotient, scale, beta in steps:
+                nxt = [0] * (len(quotient) + len(den) - len(prev) - 1)
+                nxt += [scale * v for v in prev]
+                for i, q in enumerate(quotient):
+                    for j, v in enumerate(den):
+                        nxt[i + j] -= q * v
+                prev, den = den, [x // beta for x in nxt]
+            return minors + [0] * (n - len(minors)), den
         dividend, divisor = divisor[: len(rem) - skip], rem[skip:]
         deg_f, deg_g, lc_f, psc_f = deg_g, deg_g - 1 - skip, lc_g, psc_g
 
@@ -228,7 +248,7 @@ def hankel_determinant(seq: ExactSequence, n: int) -> Exact:
             values, scale = list(seq.terms[: 2 * n - 1]), None
         else:
             values, scale = _clear_denominators(seq.terms[: 2 * n - 1])
-        memo = (seq, scale, _leading_minors(values, n))
+        memo = (seq, scale, _leading_minors(values, n)[0])
         _minors_memo = memo
     _, scale, minors = memo
     det = minors[n - 1]
@@ -376,8 +396,8 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
         default=None,
     )
     agreed = n_max if entrywise is None else entrywise - 1
-    minors_a = _leading_minors(a, agreed)
-    minors_b = _leading_minors(b, agreed)
+    minors_a = _leading_minors(a, agreed)[0]
+    minors_b = _leading_minors(b, agreed)[0]
     for n in range(1, agreed + 1):
         if minors_a[n - 1] != minors_b[n - 1]:
             return InvarianceReport(False, n_max, (n, "determinant"))
@@ -386,49 +406,13 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
     return InvarianceReport(True, n_max, None)
 
 
-def _berlekamp_massey(terms: list[Fraction]) -> list[Fraction]:
-    """Coefficients c of the shortest recurrence a_n = sum c_i a_{n-i}
-    (i = 1..L) that holds on all of n = L..N-1; L = len(c) is the linear
-    complexity of the prefix.
-
-    One Berlekamp-Massey pass over the rationals (Massey 1969).  ``conn``
-    is the connection polynomial 1 - c_1 x - ... - c_L x^L, kept with
-    exactly L + 1 entries; ``prev`` is the one in force before the last
-    length change, ``prev_disc`` its discrepancy and ``shift`` the steps
-    taken since.
-    """
-    conn = [Fraction(1)]
-    prev = [Fraction(1)]
-    prev_disc = Fraction(1)
-    length = 0
-    shift = 1
-    for n in range(len(terms)):
-        disc = sum(map(operator.mul, conn, terms[n::-1]))
-        if disc == 0:
-            shift += 1
-            continue
-        scale = disc / prev_disc
-        updated = conn + [Fraction(0)] * (len(prev) + shift - len(conn))
-        for i, c in enumerate(prev):
-            updated[i + shift] -= scale * c
-        if 2 * length <= n:
-            length, prev, prev_disc, shift = n + 1 - length, conn, disc, 1
-        else:
-            shift += 1
-        conn = updated
-    return [-c for c in conn[1:]]
-
-
-def _reconstruct(terms: list[Fraction], coeffs: list[Fraction]) -> RationalFunction:
-    r = len(coeffs)
-    den = [Fraction(1)] + [-c for c in coeffs]
-    num = []
-    for k in range(r):
-        acc = terms[k]
-        for i in range(1, min(k, r) + 1):
-            acc -= coeffs[i - 1] * terms[k - i]
-        num.append(acc)
-    num = trim(num)
+def _reconstruct(terms: list[Fraction], den: list) -> RationalFunction:
+    """num/den for the denominator ``den`` (lowest degree first) of a
+    recurrence of order len(den) - 1 that holds on all of ``terms``; the
+    numerator is the product den * terms below that order."""
+    order = len(den) - 1
+    den = [Fraction(c) for c in den]
+    num = trim([sum(map(operator.mul, den, reversed(terms[: k + 1]))) for k in range(order)])
     if num:
         g = gcd_poly(num, den)
         if degree(g) > 0:
@@ -437,7 +421,7 @@ def _reconstruct(terms: list[Fraction], coeffs: list[Fraction]) -> RationalFunct
     else:
         den = [Fraction(1)]
     n_poly, d_poly = clear_to_int_pair(num, den)
-    func = RationalFunction(n_poly, d_poly, r)
+    func = RationalFunction(n_poly, d_poly, order)
     if func.taylor(len(terms)) != [as_exact(t) for t in terms]:
         raise InternalInvariantError(
             "reconstructed rational function does not reproduce the prefix"
@@ -452,12 +436,15 @@ def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetect
     fits the entire prefix must have an order r with 2r + window <= N, and
     the Hankel determinants must vanish for the last ``window`` observable
     orders.  The determinants are checked first, and only a zero window
-    leads on to Berlekamp-Massey, which finds that recurrence in one pass
-    over the rationals; since N >= 2r + window > 2r, it is the unique recurrence of
-    order r on the prefix.  Rational input needs no special case: the
-    determinants clear denominators, and the recurrence is found over Q.
-    On success the recurrence is turned into a numerator / denominator pair
-    that is re-expanded and checked against the prefix exactly.  Absence of
+    leads on to the recurrence: the integer denominator that one more
+    remainder sequence of the denominator-cleared prefix returns, of the
+    order r of the last nonzero minor.  It is checked on every term in
+    integers.  The remainder sequence proves it on the terms the minors
+    read, so a miss there is an InternalInvariantError; a miss at the last
+    term of an even-length prefix, which no minor reads, means that no
+    recurrence of order r fits, and the prefix is not detected.  On success
+    the recurrence is turned into a numerator / denominator pair that is
+    re-expanded and checked against the prefix exactly.  Absence of
     detection is a normal outcome; the determinant evidence is returned
     either way.
     """
@@ -476,14 +463,17 @@ def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetect
         zero_run += 1
     function = None
     if all(d == 0 for d in det_table[-window:]):
-        terms = [Fraction(t) for t in seq.terms]
-        coeffs = _berlekamp_massey(terms)
-        order = len(coeffs)
-        for n in range(order, n_terms):
-            if sum(map(operator.mul, coeffs, terms[n - 1 :: -1])) != terms[n]:
+        values = _clear_denominators(seq.terms)[0]
+        n = max_order(seq)
+        _, den = _leading_minors(values, n)
+        if den is not None:
+            order = len(den) - 1
+            miss = next((m for m in range(order, n_terms)
+                         if sum(map(operator.mul, den, values[m::-1]))), n_terms)
+            if miss <= 2 * n - 2:
                 raise InternalInvariantError(
-                    "Berlekamp-Massey recurrence does not reproduce the prefix"
+                    "the remainder sequence's recurrence does not reproduce the prefix"
                 )
-        if 2 * order + window <= n_terms:
-            function = _reconstruct(terms, coeffs)
+            if miss == n_terms and 2 * order + window <= n_terms:
+                function = _reconstruct([Fraction(t) for t in seq.terms], den)
     return RationalityDetection(function, det_table, zero_run, window)

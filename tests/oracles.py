@@ -1,22 +1,24 @@
 """Slow reference implementations kept as test oracles.
 
-The library finds recurrences with one Berlekamp-Massey pass, computes
-rational Hankel determinants by clearing denominators first, reads every
-Hankel determinant of a prefix off one truncated subresultant
-pseudo-remainder sequence, checks transform invariance with one
-conjugation at the largest order, and reads the binomial transform, the
-polynomiality certificate and the power-of-(1 - x) test off one
+The library computes rational Hankel determinants by clearing
+denominators first, reads every Hankel determinant of a prefix and the
+integer recurrence of its last nonzero minor's order off one truncated
+subresultant pseudo-remainder sequence, checks transform invariance with
+one conjugation at the largest order, and reads the binomial transform,
+the polynomiality certificate and the power-of-(1 - x) test off one
 forward-difference table.  The routines below are the direct methods
-those replaced: a Gauss-Jordan solve over the rationals for every
-candidate recurrence order, Gaussian elimination over the rationals, a
-fraction-free Bareiss elimination with row pivoting for every Hankel
-order, a conjugation for every order, explicit signed-binomial sums, an
-iterated-difference loop and synthetic division by (1 - x).  The property
-tests compare the fast paths against them.
+those replaced: Berlekamp-Massey over the rationals and a Gauss-Jordan
+solve over the rationals for every candidate recurrence order, Gaussian
+elimination over the rationals, a fraction-free Bareiss elimination with
+row pivoting for every Hankel order, a conjugation for every order,
+explicit signed-binomial sums, an iterated-difference loop and synthetic
+division by (1 - x).  The property tests compare the fast paths against
+them.
 """
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from pseudopoly import ExactSequence, InternalInvariantError, max_order
@@ -123,6 +125,39 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
     return x
 
 
+def berlekamp_massey(terms: list[Fraction]) -> list[Fraction]:
+    """Coefficients c of the shortest recurrence a_n = sum c_i a_{n-i}
+    (i = 1..L) that holds on all of n = L..N-1; L = len(c) is the linear
+    complexity of the prefix.
+
+    One Berlekamp-Massey pass over the rationals (Massey 1969).  ``conn``
+    is the connection polynomial 1 - c_1 x - ... - c_L x^L, kept with
+    exactly L + 1 entries; ``prev`` is the one in force before the last
+    length change, ``prev_disc`` its discrepancy and ``shift`` the steps
+    taken since.
+    """
+    conn = [Fraction(1)]
+    prev = [Fraction(1)]
+    prev_disc = Fraction(1)
+    length = 0
+    shift = 1
+    for n in range(len(terms)):
+        disc = sum(map(operator.mul, conn, terms[n::-1]))
+        if disc == 0:
+            shift += 1
+            continue
+        scale = disc / prev_disc
+        updated = conn + [Fraction(0)] * (len(prev) + shift - len(conn))
+        for i, c in enumerate(prev):
+            updated[i + shift] -= scale * c
+        if 2 * length <= n:
+            length, prev, prev_disc, shift = n + 1 - length, conn, disc, 1
+        else:
+            shift += 1
+        conn = updated
+    return [-c for c in conn[1:]]
+
+
 def recurrence_coefficients(terms: list[Fraction], r: int) -> list[Fraction] | None:
     """Coefficients c with a_n = sum c_i a_{n-i} on all of n = r..N-1, or None."""
     if r == 0:
@@ -161,7 +196,7 @@ def detect_function(seq: ExactSequence, window: int) -> RationalFunction | None:
     ]
     if coeffs is None or any(trailing):
         return None
-    return _reconstruct(terms, coeffs)
+    return _reconstruct(terms, [1] + [-c for c in coeffs])
 
 
 def determinant_by_order(seq: ExactSequence, n: int):

@@ -5,8 +5,12 @@ from fractions import Fraction
 import pytest
 
 from pseudopoly import ExactSequence, InputError, IntPolynomial
+from pseudopoly import hankel
+from pseudopoly.hankel import HankelRecord
 from pseudopoly.cli import run_cli
 from pseudopoly.formats import (
+    hankel_csv,
+    hankel_json_obj,
     parse_polynomial,
     parse_sequence,
     render_polynomial,
@@ -58,6 +62,23 @@ class TestFormats:
     def test_polynomial_rejects_fractions(self):
         with pytest.raises(InputError):
             parse_polynomial('["1/2"]')
+
+    def test_renders_integers_past_the_str_digit_limit(self):
+        # str() refuses ints of more than 4300 digits; reports print them whole
+        big = 10**4999 + 7
+        digits = "1" + "0" * 4998 + "7"
+        records = [
+            HankelRecord(1, -big, big, (), True, None),
+            HankelRecord(2, Fraction(big, 3), 1, (), True, None),
+        ]
+        obj = hankel_json_obj(records)
+        assert [r["det"] for r in obj] == ["-" + digits, digits + "/3"]
+        assert obj[0]["required_divisor"] == digits
+        assert hankel_csv(records).splitlines()[1:] == [
+            f"1,-{digits},{digits},true,",
+            f"2,{digits}/3,1,true,",
+        ]
+        assert str(IntPolynomial.of([big, -big])) == f"{digits} - {digits}*x"
 
 
 class TestGen:
@@ -293,6 +314,20 @@ class TestErrorPaths:
         assert captured.err.startswith("error:")
         assert "not a decimal integer" in captured.err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" + "7" * 5000 + ", 1]\n", '["' + "7" * 5000 + '", "1"]\n', "7" * 5000 + "\n1\n"],
+        ids=["json-literal", "json-string", "line"],
+    )
+    def test_integer_past_the_digit_limit_is_input_error(self, text, tmp_path, capsys):
+        path = tmp_path / "seq.txt"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(["audit", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "more than 4300 digits, the input limit" in captured.err
+
     def test_polynomial_needs_strict_decimals(self, capsys):
         assert run_cli(["gen", "poly", "--coeffs", '["1_0"]', "--n-max", "3"]) == 2
         captured = capsys.readouterr()
@@ -302,9 +337,13 @@ class TestErrorPaths:
     def test_internal_invariant_exits_three(self, tmp_path, capsys, monkeypatch):
         # a recurrence that does not reproduce the prefix is a bug, not a
         # property of the input, and must not look like a finding (exit 1)
-        monkeypatch.setattr(
-            "pseudopoly.hankel._berlekamp_massey", lambda terms: [Fraction(2)]
-        )
+        original = hankel._leading_minors
+
+        def corrupt_denominator(values, n):
+            minors, den = original(values, n)
+            return minors, None if den is None else den[:-1] + [den[-1] + 1]
+
+        monkeypatch.setattr(hankel, "_leading_minors", corrupt_denominator)
         path = write_sequence(tmp_path, "cubic.txt", [n**3 - 7 * n + 2 for n in range(40)])
         assert run_cli(["audit", "--input", path]) == 3
         captured = capsys.readouterr()

@@ -1,6 +1,7 @@
 """Property tests: the fast exact paths against their slow oracles.
 
-Rationality detection (one Berlekamp-Massey pass) is compared with the
+Rationality detection (the recurrence read off the remainder sequence) is
+compared with Berlekamp-Massey over the rationals and with the
 order-by-order recurrence search, cleared-denominator determinants with
 Gaussian elimination over the rationals, the leading minors of one
 truncated subresultant remainder sequence (the Hankel table, detection's
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    berlekamp_massey,
     binomial_sums,
     certificate_by_differences,
     det_table_by_order,
@@ -47,7 +49,7 @@ from pseudopoly import (
     verify_transform_invariance,
 )
 from pseudopoly import hankel
-from pseudopoly.hankel import _berlekamp_massey
+from pseudopoly.hankel import _reconstruct
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -97,7 +99,7 @@ def test_detection_matches_order_search(terms, window):
     seq = ExactSequence.of(terms)
     window = min(window, (len(seq) - 2) // 2)
     exact = [Fraction(t) for t in seq.terms]
-    coeffs = _berlekamp_massey(exact)
+    coeffs = berlekamp_massey(exact)
     searched = recurrence_by_order_search(exact, window)
     if searched is None:
         assert 2 * len(coeffs) + window > len(exact)
@@ -116,6 +118,36 @@ zero_led = st.one_of(
     c_finite(st.integers(-3, 3)).map(lambda t: [0] + t),
     st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=1, max_size=41),
 )
+detection_prefixes = st.one_of(
+    prefixes,
+    st.lists(st.just(0), min_size=4, max_size=22),
+    zero_led.filter(lambda t: len(t) >= 4),
+)
+
+
+@PROPERTY
+@given(detection_prefixes, st.integers(1, 5))
+@example([1, 2, 4, 8, 16, 33], 1)  # the last term of an even prefix breaks it
+@example([0, 0, 0, 1], 1)  # L = 0 fails at the last term
+@example([1, 2, 4, 8, 16, 32], 1)  # 1/(1 - 2x)
+@example([0, 1, 1, 2, 3, 5, 8, 13], 2)  # x/(1 - x - x^2)
+def test_detection_matches_berlekamp_massey(terms, window):
+    # the recurrence read off the remainder sequence against the one
+    # Berlekamp-Massey finds over the rationals
+    seq = ExactSequence.of(terms)
+    window = min(window, (len(seq) - 2) // 2)
+    exact = [Fraction(t) for t in seq.terms]
+    coeffs = berlekamp_massey(exact)
+    expected = None
+    if not any(det_table_by_order(seq)[-window:]) and 2 * len(coeffs) + window <= len(exact):
+        expected = _reconstruct(exact, [1] + [-c for c in coeffs])
+    assert detect_rationality(seq, window).function == expected
+    values, _ = hankel._clear_denominators(seq.terms)
+    minors, den = hankel._leading_minors(values, max_order(seq))
+    if den is not None:
+        assert len(den) - 1 == max((k for k, d in enumerate(minors, 1) if d), default=0)
+
+
 minor_prefixes = st.one_of(
     st.lists(small_ints, min_size=1, max_size=25),
     st.lists(fractions, min_size=1, max_size=25),
@@ -157,7 +189,7 @@ def test_leading_minors_of_symmetric_matrices(terms, cut):
     seq = ExactSequence.of(terms)
     n = max(0, max_order(seq) - cut)
     values, scale = hankel._clear_denominators(seq.terms)
-    minors = hankel._leading_minors(values, n)
+    minors, _ = hankel._leading_minors(values, n)
     assert len(minors) == n
     assert [Fraction(d, scale**k) for k, d in enumerate(minors, 1)] == [
         determinant_by_order(seq, k) for k in range(1, n + 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -47,6 +48,8 @@ class Hedgehog:
                 raise InputError(f"hedgehog endpoint {z} is not finite")
             if z == 0:
                 raise InputError("hedgehog endpoints must be nonzero")
+            if math.hypot(z.real, z.imag) == math.inf:
+                raise InputError(f"hedgehog endpoint {z} has a modulus past the float range")
         args = [cmath.phase(z) for z in pts]
         for i in range(len(args)):
             for j in range(i + 1, len(args)):
@@ -239,7 +242,13 @@ def estimate_transfinite_diameter(
         raise InputError(
             f"{m} Leja points need at least {m} distinct candidates, have {distinct}"
         )
-    start_spike = int(np.argmax([abs(z) for z in hedgehog.endpoints]))
+    moduli = [abs(z) for z in hedgehog.endpoints]
+    if max(moduli) > sys.float_info.max / 2:
+        raise InputError(
+            f"endpoint moduli must be at most {sys.float_info.max / 2:.6g}, so that "
+            "distances between points of the hedgehog stay finite"
+        )
+    start_spike = int(np.argmax(moduli))
     selected = np.empty(m, dtype=complex)
     selected[0] = spikes[start_spike][-1]
     increments = []  # log prod of distances from each new point to the chosen ones
@@ -250,6 +259,10 @@ def estimate_transfinite_diameter(
             increments.append(float(log_dist[pick]))
             selected[t] = candidates[pick]
             log_dist += np.log(np.abs(candidates - selected[t]))
+    if -math.inf in increments:
+        raise InputError(
+            f"the spikes hold fewer than {m} distinct points in floating point"
+        )
 
     def log_pairwise_mean(t: int) -> float:
         return 2 * sum(increments[: t - 1]) / (t * (t - 1))

@@ -42,6 +42,7 @@ INTERNAL_ERROR = 3
 THETA_N_MAX_LIMIT = 10**6
 LEJA_POINTS_LIMIT = 1024
 CANDIDATE_LIMIT = 10**6  # endpoints x discretization points per estimate
+CONGRUENCE_TERMS_LIMIT = 500  # terms; --mode full checks and may report N^2/2 pairs
 
 
 def _read_text(path: str) -> str:
@@ -126,7 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="congruence checks")
     check_sub = check.add_subparsers(dest="checker", required=True)
-    c_cong = check_sub.add_parser("congruences", parents=[seq_in])
+    c_cong = check_sub.add_parser(
+        "congruences", parents=[seq_in],
+        description=f"The sequence may have at most {CONGRUENCE_TERMS_LIMIT} terms.",
+    )
     c_cong.add_argument("--mode", choices=["primary", "full"], default="primary")
     _add_format(c_cong, ["json", "csv"], "json")
 
@@ -233,6 +237,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     seq = _read_sequence(args)
+    _check_limit("sequence length", len(seq), CONGRUENCE_TERMS_LIMIT)
     report = check_congruences(seq, args.mode)
     if args.format == "json":
         _emit(formats.dumps(formats.congruence_json_obj(report)))

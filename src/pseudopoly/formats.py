@@ -12,6 +12,7 @@ import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .analytic import SingularityReport, theta_rows
 from .audit import AuditReport
@@ -109,9 +110,95 @@ def render_polynomial(poly: IntPolynomial) -> str:
     return json.dumps(list(map(exact_str, poly.coefficients)))
 
 
+def _float_repr(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# The scalar encoders json uses, by exact type; subclasses go through
+# _encoder, which encodes them as json does: by their base type's repr.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_repr,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _encoder(value):
+    """The scalar encoder of value, None for a list, tuple or dict."""
+    encode = _SCALARS.get(type(value))
+    if encode is not None:
+        return encode
+    if isinstance(value, str):
+        return encode_basestring_ascii
+    if isinstance(value, int):
+        return int.__repr__
+    if isinstance(value, float):
+        return _float_repr
+    if isinstance(value, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write(obj, append, newline: str) -> None:
+    """Append the pieces of the indent-2 JSON of a list, tuple or dict;
+    newline is the line break and indent of the line obj starts on.
+    Module-level, so that no call makes a closure that refers to itself:
+    that would be a reference cycle holding every piece until the cyclic
+    collector runs."""
+    if not obj:
+        append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = newline + "  "
+    separator = "," + inner
+    if isinstance(obj, dict):
+        prefix = "{" + inner
+        for key in sorted(obj):  # encode_basestring_ascii rejects a non-str key
+            value = obj[key]
+            encode = _SCALARS.get(type(value)) or _encoder(value)
+            if encode is None:
+                append(prefix + encode_basestring_ascii(key) + ": ")
+                _write(value, append, inner)
+            else:
+                append(prefix + encode_basestring_ascii(key) + ": " + encode(value))
+            prefix = separator
+        append(newline + "}")
+        return
+    kinds = set(map(type, obj))
+    encode = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    if encode is not None:
+        append("[" + inner + separator.join(map(encode, obj)) + newline + "]")
+        return
+    prefix = "[" + inner
+    for item in obj:
+        encode = _SCALARS.get(type(item)) or _encoder(item)
+        if encode is None:
+            append(prefix)
+            _write(item, append, inner)
+        else:
+            append(prefix + encode(item))
+        prefix = separator
+    append(newline + "]")
+
+
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: the bytes of json.dumps(obj, sort_keys=True,
+    indent=2) plus a trailing newline.  Dict keys must be str; a value
+    json cannot encode raises TypeError."""
+    encode = _encoder(obj)
+    if encode is not None:
+        return encode(obj) + "\n"
+    pieces: list[str] = []
+    _write(obj, pieces.append, "\n")
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def _valuation_value(v):

@@ -263,11 +263,23 @@ def padic_valuation(x: int, p: int) -> int | float:
         raise InputError("valuation is defined for exact integers")
     if x == 0:
         return math.inf
+    # Divide by p, p^2, p^4, ... while each divides, then try the same
+    # powers from the largest down: a valuation v costs O(log v) divisions.
     x = abs(x)
     v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
+    climbed = []  # (p^step, step) for each division on the way up
+    power, step = p, 1
+    while True:
+        quotient, remainder = divmod(x, power)
+        if remainder:
+            break
+        x, v = quotient, v + step
+        climbed.append((power, step))
+        power, step = power * power, 2 * step
+    for power, step in reversed(climbed):
+        quotient, remainder = divmod(x, power)
+        if not remainder:
+            x, v = quotient, v + step
     return v
 
 

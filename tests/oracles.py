@@ -12,11 +12,14 @@ solve over the rationals for every candidate recurrence order, Gaussian
 elimination over the rationals, a fraction-free Bareiss elimination with
 row pivoting for every Hankel order, a conjugation for every order,
 explicit signed-binomial sums, an iterated-difference loop and synthetic
-division by (1 - x).  The property tests compare the fast paths against
-them.
+division by (1 - x).  Valuations divide by p, p^2, p^4, ... and step back
+down, and reports are written by a direct indent-2 writer; the oracles
+here strip one factor of p per division and call json's own encoder.  The
+property tests compare the fast paths against them.
 """
 from __future__ import annotations
 
+import json
 import math
 import operator
 from fractions import Fraction
@@ -313,3 +316,20 @@ def matmul(a: list[list], b: list[list]) -> list[list]:
 
 def transpose(a: list[list]) -> list[list]:
     return [list(col) for col in zip(*a)]
+
+
+def padic_valuation_by_division(x: int, p: int) -> int | float:
+    """Exponent of p in x, one division by p at a time; math.inf for 0."""
+    if x == 0:
+        return math.inf
+    x = abs(x)
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def json_dumps(obj) -> str:
+    """The canonical report text, from json's own (pure-Python) encoder."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -1,14 +1,18 @@
+import gc
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from pseudopoly import ExactSequence, InputError, IntPolynomial
+from pseudopoly import AuditConfig, ExactSequence, InputError, IntPolynomial
+from pseudopoly import generate_primary, ruzsa_audit
 from pseudopoly import hankel
 from pseudopoly.hankel import HankelRecord
-from pseudopoly.cli import run_cli
+from pseudopoly.cli import CONGRUENCE_TERMS_LIMIT, run_cli
 from pseudopoly.formats import (
+    audit_json_obj,
+    dumps,
     hankel_csv,
     hankel_json_obj,
     parse_polynomial,
@@ -80,6 +84,27 @@ class TestFormats:
         ]
         assert str(IntPolynomial.of([big, -big])) == f"{digits} - {digits}*x"
 
+    @pytest.mark.parametrize(
+        "value",
+        [{1, 2}, b"bytes", {1: "a"}, {"a": [{"b": 0, 2: 3}]}, [frozenset()]],
+        ids=["set", "bytes", "int-key", "nested-int-key", "frozenset"],
+    )
+    def test_dumps_rejects_what_json_cannot_encode(self, value):
+        with pytest.raises(TypeError):
+            dumps(value)
+
+    def test_dumps_makes_no_reference_cycles(self):
+        # A cycle would hold every piece of the report until the cyclic
+        # collector ran, raising the peak memory of a run of audits.
+        report = audit_json_obj(ruzsa_audit(generate_primary([1, -2, 3] * 10, 30), AuditConfig()))
+        gc.collect()
+        gc.disable()
+        try:
+            dumps(report)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestGen:
     def test_gen_poly(self, capsys):
@@ -135,6 +160,18 @@ class TestCheckAndTransform:
         path = write_sequence(tmp_path, "sq.txt", [n * n for n in range(10)])
         assert run_cli(["check", "congruences", "--input", path]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    def test_congruence_length_guard(self, tmp_path, capsys):
+        terms = [n * n for n in range(CONGRUENCE_TERMS_LIMIT + 1)]
+        at_limit = write_sequence(tmp_path, "at.txt", terms[:-1])
+        assert run_cli(["check", "congruences", "--mode", "full", "--input", at_limit]) == 0
+        capsys.readouterr()
+        over = write_sequence(tmp_path, "over.txt", terms)
+        assert run_cli(["check", "congruences", "--mode", "full", "--input", over]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "exceeds the limit" in captured.err
 
     def test_transform_round_trip(self, tmp_path, capsys):
         path = write_sequence(tmp_path, "seq.txt", [3, 1, 4, 1, 5])
@@ -205,6 +242,22 @@ class TestThetaAndCapacity:
         report = json.loads(capsys.readouterr().out)
         assert 0.20 <= report["estimate"] <= 0.26
         assert report["bound"] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--endpoints", "1.7e308,-1.7e308", "--leja-points", "8"],
+            ["estimate", "--endpoints", "5e-324", "--leja-points", "8"],
+            ["bound", "--endpoints", "1.7e308+1.7e308j"],
+        ],
+        ids=["distances-overflow", "too-few-distinct-points", "modulus-overflows"],
+    )
+    def test_float_range_is_input_error(self, argv, capsys):
+        # these used to print "estimate": NaN, or die on an OverflowError
+        assert run_cli(["capacity", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_bad_endpoint_is_input_error(self, capsys):
         assert run_cli(["capacity", "bound", "--endpoints", "1,spam"]) == 2

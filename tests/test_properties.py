@@ -9,7 +9,8 @@ determinant evidence, memoized determinants, transform invariance) with a
 Bareiss elimination per order, and the forward-difference table
 (transform pair, polynomiality certificate, power-of-(1 - x) test) with
 explicit binomial sums, the iterated-difference loop and synthetic
-division.
+division.  Valuations are compared with one division by p at a time, and
+the report writer with json's own indent-2 encoder.
 """
 import math
 from fractions import Fraction
@@ -27,6 +28,8 @@ from oracles import (
     determinant_by_order,
     hankel_table_by_order,
     invariance_by_order,
+    json_dumps,
+    padic_valuation_by_division,
     power_of_one_minus_x_by_division,
     rational_det,
     recurrence_by_order_search,
@@ -45,10 +48,12 @@ from pseudopoly import (
     inverse_binomial_transform,
     is_power_of_one_minus_x,
     max_order,
+    padic_valuation,
     polynomial_certificate,
     verify_transform_invariance,
 )
 from pseudopoly import hankel
+from pseudopoly.formats import dumps
 from pseudopoly.hankel import _reconstruct
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -369,3 +374,64 @@ def test_power_test_on_perturbed_powers(c, d, data):
     poly = IntPolynomial.of(coeffs)
     expected = power_of_one_minus_x_by_division(poly.coefficients)
     assert is_power_of_one_minus_x(poly) == expected
+
+
+@PROPERTY
+@given(
+    st.sampled_from([2, 3, 5, 7, 97, 7919, 2**31 - 1]),
+    st.integers(0, 600),
+    st.integers(-10**40, 10**40),
+)
+@example(2, 0, 0)
+@example(3, 500, -3**7 * 10)
+@example(2, 255, 2**256 + 2)
+def test_valuation_matches_one_division_at_a_time(p, k, m):
+    x = m * p**k  # m may be 0 or itself divisible by p
+    assert padic_valuation(x, p) == padic_valuation_by_division(x, p)
+
+
+class IntSubclass(int):
+    def __repr__(self):
+        return "not-a-number"
+
+    __str__ = __repr__
+
+
+class FloatSubclass(float):
+    def __repr__(self):
+        return "not-a-number"
+
+    __str__ = __repr__
+
+
+json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028')))
+json_scalar_kinds = [
+    st.none(),
+    st.booleans(),
+    st.one_of(st.integers(), st.integers(-10**3000, 10**3000)),
+    st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])),
+    json_text,
+]
+json_values = st.recursive(
+    st.one_of(
+        *json_scalar_kinds,
+        *(st.lists(kind, max_size=6) for kind in json_scalar_kinds),
+        st.lists(st.one_of(st.booleans(), st.integers()), max_size=6),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(json_text, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@PROPERTY
+@given(json_values)
+@example([True, 1, 0, False])
+@example({"": [], "a": {}, '"\\\x01\u00e9': [[], {}]})
+@example([IntSubclass(7), IntSubclass(-8)])
+@example({"f": FloatSubclass(2.5), "i": IntSubclass(3), "l": [FloatSubclass(-0.0)]})
+def test_writer_matches_json_encoder(value):
+    assert dumps(value) == json_dumps(value)

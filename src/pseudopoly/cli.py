@@ -43,6 +43,7 @@ THETA_N_MAX_LIMIT = 10**6
 LEJA_POINTS_LIMIT = 1024
 CANDIDATE_LIMIT = 10**6  # endpoints x discretization points per estimate
 CONGRUENCE_TERMS_LIMIT = 500  # terms; --mode full checks and may report N^2/2 pairs
+GEN_TERMS_LIMIT = 2000  # --n-max of gen; hall costs about N^3 digit operations
 
 
 def _read_text(path: str) -> str:
@@ -103,19 +104,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON array of decimal-string coefficients, lowest degree first, "
         "or @path to a file holding one",
     )
-    g_poly.add_argument("--n-max", type=int, required=True, help="number of terms")
+    n_max_help = f"number of terms (at most {GEN_TERMS_LIMIT})"
+    g_poly.add_argument("--n-max", type=int, required=True, help=n_max_help)
     _add_format(g_poly, ["lines", "json"], "lines")
     g_primary = gen_sub.add_parser(
         "primary", help="primorial-scaled inverse-transform generator"
     )
-    g_primary.add_argument("--n-max", type=int, required=True)
+    g_primary.add_argument("--n-max", type=int, required=True, help=n_max_help)
     g_primary.add_argument("--seed", type=int, default=0)
     g_primary.add_argument(
         "--bound", type=int, default=5, help="coefficients drawn from [-bound, bound]"
     )
     _add_format(g_primary, ["lines", "json"], "lines")
     g_hall = gen_sub.add_parser("hall", help="inductive congruence-preserving generator")
-    g_hall.add_argument("--n-max", type=int, required=True)
+    g_hall.add_argument("--n-max", type=int, required=True, help=n_max_help)
     g_hall.add_argument(
         "--seed",
         type=int,
@@ -212,6 +214,7 @@ def _emit(text: str) -> None:
 
 
 def _cmd_gen(args) -> int:
+    _check_limit("--n-max", args.n_max, GEN_TERMS_LIMIT)
     if args.generator != "poly" and args.bound < 0:
         raise InputError(f"--bound must be >= 0, got {args.bound}")
     if args.generator == "poly":

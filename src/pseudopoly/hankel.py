@@ -41,7 +41,6 @@ from .core import (
     IntPolynomial,
     InputError,
     InternalInvariantError,
-    as_exact,
     log_abs_exact,
 )
 from .polyarith import (
@@ -112,12 +111,9 @@ class RationalFunction:
 
     def taylor(self, count: int) -> list[Exact]:
         """First ``count`` coefficients of the power series expansion."""
-        coeffs = series_from_rational(
-            from_int_polynomial(self.numerator),
-            from_int_polynomial(self.denominator),
-            count,
+        return series_from_rational(
+            self.numerator.coefficients, self.denominator.coefficients, count
         )
-        return [as_exact(c) for c in coeffs]
 
     def __str__(self) -> str:
         return f"({self.numerator})/({self.denominator})"
@@ -418,23 +414,31 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
     return InvarianceReport(True, n_max, None)
 
 
-def _reconstruct(terms: list[Fraction], den: list) -> RationalFunction:
-    """num/den for the denominator ``den`` (lowest degree first) of a
-    recurrence of order len(den) - 1 that holds on all of ``terms``; the
-    numerator is the product den * terms below that order."""
+def _reconstruct(
+    terms: tuple[Exact, ...], values: list[int], scale: int, den: list[int]
+) -> RationalFunction:
+    """num/den for the integer denominator ``den`` (lowest degree first) of
+    a recurrence of order len(den) - 1 that holds on all of ``terms``.
+
+    ``values`` are the terms times the lcm ``scale`` of their denominators,
+    so the integer product den * values below that order is ``scale`` times
+    the numerator, and (that product, scale * den) is the function.  Its
+    expansion must reproduce ``terms``.
+    """
     order = len(den) - 1
-    den = [Fraction(c) for c in den]
-    num = trim([sum(map(operator.mul, den, reversed(terms[: k + 1]))) for k in range(order)])
+    num = trim([sum(map(operator.mul, den, values[k::-1])) for k in range(order)])
     if num:
+        num = [Fraction(c) for c in num]
+        den = [Fraction(scale * c) for c in den]
         g = gcd_poly(num, den)
         if degree(g) > 0:
             num, _ = divmod_poly(num, g)
             den, _ = divmod_poly(den, g)
     else:
-        den = [Fraction(1)]
+        den = [1]
     n_poly, d_poly = clear_to_int_pair(num, den)
     func = RationalFunction(n_poly, d_poly, order)
-    if func.taylor(len(terms)) != [as_exact(t) for t in terms]:
+    if func.taylor(len(terms)) != list(terms):
         raise InternalInvariantError(
             "reconstructed rational function does not reproduce the prefix"
         )
@@ -475,7 +479,7 @@ def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetect
         zero_run += 1
     function = None
     if all(d == 0 for d in det_table[-window:]):
-        values = _clear_denominators(seq.terms)[0]
+        values, scale = _clear_denominators(seq.terms)
         n = max_order(seq)
         _, den = _leading_minors(values, n)
         if den is not None:
@@ -487,5 +491,5 @@ def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetect
                     "the remainder sequence's recurrence does not reproduce the prefix"
                 )
             if miss == n_terms and 2 * order + window <= n_terms:
-                function = _reconstruct([Fraction(t) for t in seq.terms], den)
+                function = _reconstruct(seq.terms, values, scale, den)
     return RationalityDetection(function, det_table, zero_run, window)

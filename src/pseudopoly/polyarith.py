@@ -1,15 +1,20 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Polynomials are plain lists of Fractions, lowest degree first, trailing
+Polynomials are plain lists of coefficients, lowest degree first, trailing
 zeros trimmed.  This is deliberately small: just what rational-function
 reconstruction and the denominator analyses need.
+``series_from_rational`` and ``clear_to_int_pair`` accept int coefficients
+as well as Fractions, and the series stays in ints wherever it is integral;
+``divmod_poly``, ``gcd_poly``, ``monic`` and ``squarefree_factors`` divide
+with ``/`` and need Fractions (``from_int_polynomial`` gives them).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Sequence
 
-from .core import IntPolynomial, InputError
+from .core import Exact, IntPolynomial, InputError
 
 Poly = list[Fraction]
 
@@ -116,18 +121,26 @@ def _padded(p: Poly, q: Poly):
     return zip(p + [Fraction(0)] * (n - len(p)), q + [Fraction(0)] * (n - len(q)))
 
 
-def series_from_rational(num: Poly, den: Poly, count: int) -> list[Fraction]:
-    """First ``count`` Taylor coefficients of num/den (den[0] != 0)."""
+def series_from_rational(
+    num: Sequence[Exact], den: Sequence[Exact], count: int
+) -> list[Exact]:
+    """First ``count`` Taylor coefficients of num/den (den[0] != 0).
+
+    The coefficients are ints or Fractions.  Each series coefficient is an
+    int when it is integral and a Fraction otherwise: with den[0] = 1, as
+    for every integer-valued series, no Fraction is built.
+    """
     den = trim(den)
     if not den or den[0] == 0:
         raise InputError("denominator must have a nonzero constant term")
     d0 = den[0]
-    out: list[Fraction] = []
+    out: list[Exact] = []
     for k in range(count):
-        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        acc = num[k] if k < len(num) else 0
         for i in range(1, min(k, len(den) - 1) + 1):
             acc -= den[i] * out[k - i]
-        out.append(acc / d0)
+        q, r = divmod(acc, d0)
+        out.append(q if r == 0 else Fraction(acc, d0))
     return out
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .binomial import binomial_transform, inverse_binomial_transform, primorials
@@ -159,19 +159,6 @@ def generate_primary(coeffs: Sequence[int] | ExactSequence, length: int) -> Exac
     return result
 
 
-def _crt_combine(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Solve x = r1 (mod m1), x = r2 (mod m2); returns (x, lcm) with 0 <= x < lcm."""
-    g = gcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        raise InternalInvariantError(
-            f"inconsistent congruence system: x={r1} (mod {m1}), x={r2} (mod {m2})"
-        )
-    m2g = m2 // g
-    t = ((r2 - r1) // g) * pow(m1 // g, -1, m2g) % m2g
-    modulus = m1 * m2g
-    return (r1 + m1 * t) % modulus, modulus
-
-
 def generate_hall_like(length: int, perturbation: Sequence[int]) -> ExactSequence:
     """Inductive congruence-preserving construction with a free perturbation.
 
@@ -180,18 +167,44 @@ def generate_hall_like(length: int, perturbation: Sequence[int]) -> ExactSequenc
     The system is consistent because the prefix already preserves
     congruences, so the result passes the full congruence check by
     construction.
+
+    lcm(1..n) is the product of the largest powers q <= n of the primes up
+    to n, and a solution mod each such q is one of the constraints, so x is
+    the sum of a_{n-q} mod q times the CRT idempotent of q, mod lcm(1..n).
+    The idempotents change only when n is a prime power.  Every constraint
+    is checked on x, and the modulus against lcm(1..n) kept by one gcd per
+    n; a failure raises InternalInvariantError.
     """
     if length < 1:
         raise InputError("length must be >= 1")
     pert = [int(v) for v in perturbation]
     if len(pert) < length:
         raise InputError(f"need at least {length} perturbation entries, got {len(pert)}")
+    prime_of = {}  # every prime power below length -> its prime
+    for p in sieve_primes(length - 1):
+        q = p
+        while q < length:
+            prime_of[q], q = p, q * p
+    largest = {}  # prime -> its largest power <= n
+    modulus = expected = 1
+    idempotents = []  # (q, e) with e = 1 (mod q) and e = 0 mod lcm(1..n) / q
     a = [pert[0]]
     for n in range(1, length):
-        x, modulus = 0, 1
-        for k in range(1, n + 1):
-            x, modulus = _crt_combine(x, modulus, a[n - k] % k, k)
-        if modulus != lcm(*range(1, n + 1)):
+        expected = expected // gcd(expected, n) * n
+        if n in prime_of:
+            largest[prime_of[n]] = n
+            modulus = math.prod(largest.values())
+            idempotents = []
+            for q in largest.values():
+                cofactor = modulus // q
+                idempotents.append((q, cofactor * pow(cofactor, -1, q)))
+        if modulus != expected:
             raise InternalInvariantError("combined modulus is not lcm(1..n)")
+        x = sum(a[n - q] % q * e for q, e in idempotents) % modulus
+        bad = next((k for k in range(1, n + 1) if (x - a[n - k]) % k), None)
+        if bad is not None:
+            raise InternalInvariantError(
+                f"term {n} misses its constraint x = a_{n - bad} (mod {bad})"
+            )
         a.append(x + pert[n] * modulus)
     return ExactSequence.of(a)

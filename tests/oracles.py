@@ -14,8 +14,12 @@ row pivoting for every Hankel order, a conjugation for every order,
 explicit signed-binomial sums, an iterated-difference loop and synthetic
 division by (1 - x).  Valuations divide by p, p^2, p^4, ... and step back
 down, and reports are written by a direct indent-2 writer; the oracles
-here strip one factor of p per division and call json's own encoder.  The
-property tests compare the fast paths against them.
+here strip one factor of p per division and call json's own encoder.
+Taylor series are expanded in integers wherever they are integral, and
+the Hall-style generator solves only its prime-power constraints by CRT
+idempotents; the oracles divide every coefficient as a Fraction and fold
+every constraint in pairwise.  The property tests compare the fast paths
+against them.
 """
 from __future__ import annotations
 
@@ -199,7 +203,16 @@ def detect_function(seq: ExactSequence, window: int) -> RationalFunction | None:
     ]
     if coeffs is None or any(trailing):
         return None
-    return _reconstruct(terms, [1] + [-c for c in coeffs])
+    values, scale = _clear_denominators(seq.terms)
+    return _reconstruct(seq.terms, values, scale, recurrence_denominator(coeffs))
+
+
+def recurrence_denominator(coeffs: list[Fraction]) -> list[int]:
+    """1 - c_1 x - ... - c_L x^L for a_n = sum c_i a_(n-i), scaled by the
+    lcm of its denominators to integers, lowest degree first."""
+    den = [Fraction(1)] + [-Fraction(c) for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in den))
+    return [int(c * scale) for c in den]
 
 
 def determinant_by_order(seq: ExactSequence, n: int):
@@ -333,3 +346,38 @@ def padic_valuation_by_division(x: int, p: int) -> int | float:
 def json_dumps(obj) -> str:
     """The canonical report text, from json's own (pure-Python) encoder."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def hall_by_pairwise_crt(length: int, perturbation: list[int]) -> list[int]:
+    """``generate_hall_like`` by folding the constraints x = a_(n-k) (mod k),
+    k = 1..n, into one congruence a pair at a time, each with its own gcd
+    and modular inverse."""
+    a = [perturbation[0]]
+    for n in range(1, length):
+        x, modulus = 0, 1
+        for k in range(1, n + 1):
+            r = a[n - k] % k
+            g = math.gcd(modulus, k)
+            if (r - x) % g:
+                raise InternalInvariantError(f"inconsistent constraints at n={n}")
+            step = k // g
+            t = (r - x) // g * pow(modulus // g, -1, step) % step
+            x, modulus = x + modulus * t, modulus * step
+        if modulus != math.lcm(*range(1, n + 1)):
+            raise InternalInvariantError("combined modulus is not lcm(1..n)")
+        a.append(x + perturbation[n] * modulus)
+    return a
+
+
+def series_by_fractions(num: list, den: list, count: int) -> list[Fraction]:
+    """The first ``count`` Taylor coefficients of num/den, every one a
+    Fraction: each is the numerator coefficient less the convolution of den
+    with the ones before, divided by den[0]."""
+    d0 = Fraction(den[0])
+    out: list[Fraction] = []
+    for k in range(count):
+        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        for i in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[i] * out[k - i]
+        out.append(acc / d0)
+    return out

@@ -9,7 +9,7 @@ from pseudopoly import AuditConfig, ExactSequence, InputError, IntPolynomial
 from pseudopoly import generate_primary, ruzsa_audit
 from pseudopoly import hankel
 from pseudopoly.hankel import HankelRecord
-from pseudopoly.cli import CONGRUENCE_TERMS_LIMIT, run_cli
+from pseudopoly.cli import CONGRUENCE_TERMS_LIMIT, GEN_TERMS_LIMIT, run_cli
 from pseudopoly.formats import (
     audit_json_obj,
     dumps,
@@ -145,6 +145,24 @@ class TestGen:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --bound must be >= 0")
+
+    @pytest.mark.parametrize(
+        "generator",
+        [["poly", "--coeffs", '["1"]'], ["primary"], ["hall", "--seed", "1"]],
+        ids=["poly", "primary", "hall"],
+    )
+    def test_n_max_guard(self, generator, capsys):
+        argv = ["gen", *generator, "--n-max", str(GEN_TERMS_LIMIT + 1)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --n-max")
+        assert "exceeds the limit" in captured.err
+
+    def test_n_max_at_the_limit(self, capsys):
+        argv = ["gen", "poly", "--coeffs", '["1"]', "--n-max", str(GEN_TERMS_LIMIT)]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == "1\n" * GEN_TERMS_LIMIT
 
 
 class TestCheckAndTransform:

@@ -10,6 +10,7 @@ from pseudopoly import (
     ExactSequence,
     InputError,
     IntPolynomial,
+    InternalInvariantError,
     RationalFunction,
     binomial_transform,
     detect_rationality,
@@ -316,6 +317,12 @@ class TestDetectRationality:
                 func.numerator.coefficients, func.denominator.coefficients, 30
             )
             assert oracle == terms
+
+    def test_reconstruction_that_misses_the_prefix_is_an_internal_error(self):
+        # 1/(1 - 2x) gives 16, not 17, at the last term
+        terms = (1, 2, 4, 8, 17)
+        with pytest.raises(InternalInvariantError):
+            hankel._reconstruct(terms, list(terms), 1, [1, -2])
 
     def test_short_window_of_nonzero_determinants_blocks_detection(self):
         # order-2 recurrence holds but the trailing window still sees a

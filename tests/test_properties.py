@@ -9,8 +9,10 @@ determinant evidence, memoized determinants, transform invariance) with a
 Bareiss elimination per order, and the forward-difference table
 (transform pair, polynomiality certificate, power-of-(1 - x) test) with
 explicit binomial sums, the iterated-difference loop and synthetic
-division.  Valuations are compared with one division by p at a time, and
-the report writer with json's own indent-2 encoder.
+division.  Valuations are compared with one division by p at a time, the
+report writer with json's own indent-2 encoder, the integer Taylor
+expansion with one in Fractions, and the Hall-style generator with a
+pairwise CRT fold over every constraint.
 """
 import math
 from fractions import Fraction
@@ -26,6 +28,7 @@ from oracles import (
     det_table_by_order,
     detect_function,
     determinant_by_order,
+    hall_by_pairwise_crt,
     hankel_table_by_order,
     invariance_by_order,
     json_dumps,
@@ -33,6 +36,8 @@ from oracles import (
     power_of_one_minus_x_by_division,
     rational_det,
     recurrence_by_order_search,
+    recurrence_denominator,
+    series_by_fractions,
     signed_binomial_sums,
 )
 from pseudopoly import (
@@ -55,6 +60,7 @@ from pseudopoly import (
 from pseudopoly import hankel
 from pseudopoly.formats import dumps
 from pseudopoly.hankel import _reconstruct
+from pseudopoly.polyarith import series_from_rational
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -143,11 +149,11 @@ def test_detection_matches_berlekamp_massey(terms, window):
     window = min(window, (len(seq) - 2) // 2)
     exact = [Fraction(t) for t in seq.terms]
     coeffs = berlekamp_massey(exact)
+    values, scale = hankel._clear_denominators(seq.terms)
     expected = None
     if not any(det_table_by_order(seq)[-window:]) and 2 * len(coeffs) + window <= len(exact):
-        expected = _reconstruct(exact, [1] + [-c for c in coeffs])
+        expected = _reconstruct(seq.terms, values, scale, recurrence_denominator(coeffs))
     assert detect_rationality(seq, window).function == expected
-    values, _ = hankel._clear_denominators(seq.terms)
     minors, den = hankel._leading_minors(values, max_order(seq))
     if den is not None:
         assert len(den) - 1 == max((k for k, d in enumerate(minors, 1) if d), default=0)
@@ -388,6 +394,45 @@ def test_power_test_on_perturbed_powers(c, d, data):
 def test_valuation_matches_one_division_at_a_time(p, k, m):
     x = m * p**k  # m may be 0 or itself divisible by p
     assert padic_valuation(x, p) == padic_valuation_by_division(x, p)
+
+
+# every kind of denominator constant term: 1 (all the audit meets), a unit,
+# integers that do and do not divide the numerators, and a Fraction
+series_coefficients = st.one_of(
+    st.lists(st.integers(-20, 20), max_size=6),
+    st.lists(st.one_of(st.integers(-20, 20), fractions), max_size=6),
+)
+
+
+@PROPERTY
+@given(
+    series_coefficients,
+    st.sampled_from([1, -1, 2, -3, Fraction(3, 2)]),
+    series_coefficients,
+    st.integers(0, 25),
+)
+@example([1], 1, [-1, -1], 12)  # 1/(1 - x - x^2)
+@example([Fraction(1, 2), 3], 2, [1], 8)
+def test_series_matches_fraction_expansion(num, d0, tail, count):
+    den = [d0] + tail
+    series = series_from_rational(num, den, count)
+    expected = series_by_fractions(num, den, count)
+    assert series == expected
+    assert [type(c) for c in series] == [
+        int if c.denominator == 1 else Fraction for c in expected
+    ]
+
+
+@PROPERTY
+@given(st.integers(1, 80).flatmap(
+    lambda n: st.lists(st.integers(-1000, 1000), min_size=n, max_size=n)
+))
+@example([0] * 80)
+@example([5])
+def test_hall_matches_pairwise_crt(perturbation):
+    length = len(perturbation)
+    expected = hall_by_pairwise_crt(length, perturbation)
+    assert list(generate_hall_like(length, perturbation)) == expected
 
 
 class IntSubclass(int):

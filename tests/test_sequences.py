@@ -7,6 +7,7 @@ from pseudopoly import (
     ExactSequence,
     InputError,
     IntPolynomial,
+    InternalInvariantError,
     check_congruences,
     eval_polynomial_sequence,
     generate_hall_like,
@@ -14,6 +15,7 @@ from pseudopoly import (
     growth_rate,
     polynomial_certificate,
 )
+from pseudopoly import sequences
 
 CUBIC = IntPolynomial.of([2, -7, 0, 1])  # x^3 - 7x + 2
 
@@ -200,6 +202,18 @@ class TestGenerateHallLike:
     def test_requires_enough_perturbation(self):
         with pytest.raises(InputError):
             generate_hall_like(3, [0])
+
+    def test_missed_constraint_is_an_internal_error(self, monkeypatch):
+        # zero idempotents make every term 0 mod lcm(1..n)
+        monkeypatch.setattr(sequences, "pow", lambda *args: 0, raising=False)
+        with pytest.raises(InternalInvariantError, match="constraint"):
+            generate_hall_like(6, [1, 0, 0, 0, 0, 0])
+
+    def test_wrong_modulus_is_an_internal_error(self, monkeypatch):
+        # without the prime 3 the modulus stops being lcm(1..n) at n = 3
+        monkeypatch.setattr(sequences, "sieve_primes", lambda n: [2, 5])
+        with pytest.raises(InternalInvariantError, match="lcm"):
+            generate_hall_like(6, [0] * 6)
 
 
 def test_growth_of_hall_sequences_is_finite():

@@ -294,18 +294,14 @@ def _cluster_directions(args: list[float], tol: float) -> list[float]:
     return sorted(c[0] for c in clusters)
 
 
-def singular_directions(
-    function: RationalFunction,
-    tol: float = RESIDUAL_TOL,
-    direction_tol: float = DIRECTION_TOL,
-) -> SingularityReport:
+def singular_directions(function: RationalFunction) -> SingularityReport:
     """Locate the poles of a rational function and group their arguments.
 
     Multiplicities are obtained exactly (squarefree decomposition over the
     rationals), so the root finder only ever sees simple roots; each root
-    must pass a relative residual test at ``tol`` or NumericError is
+    must pass a relative residual test at RESIDUAL_TOL or NumericError is
     raised.  Directions are principal arguments clustered at
-    ``direction_tol``; the radius is the smallest pole modulus.
+    DIRECTION_TOL; the radius is the smallest pole modulus.
     """
     den = function.denominator
     if den.degree < 1:
@@ -319,14 +315,14 @@ def singular_directions(
         bad = []
         for z in roots:
             residual = abs(np.polyval(coeffs, z))
-            allowed = tol * scale * max(1.0, abs(z)) ** deg
+            allowed = RESIDUAL_TOL * scale * max(1.0, abs(z)) ** deg
             if residual > allowed:
                 bad.append((complex(z), residual))
         if bad:
-            raise NumericError(f"root residuals exceed tolerance {tol}: {bad}")
+            raise NumericError(f"root residuals exceed tolerance {RESIDUAL_TOL}: {bad}")
         poles.extend((complex(z), multiplicity) for z in roots)
     poles.sort(key=lambda pm: (pm[0].real, pm[0].imag))
-    directions = _cluster_directions([cmath.phase(z) for z, _ in poles], direction_tol)
+    directions = _cluster_directions([cmath.phase(z) for z, _ in poles], DIRECTION_TOL)
     radius = min(abs(z) for z, _ in poles)
     return SingularityReport(
         tuple(poles), tuple(directions), len(directions), radius

@@ -48,8 +48,6 @@ class AuditConfig:
     growth_bound: float = math.e
     window: int = 3
     n_max: int | None = None  # Hankel orders; defaults to all observable
-    residual_tol: float = 1e-9
-    direction_tol: float = 1e-6
 
     def __post_init__(self):
         if not math.isfinite(self.growth_bound):
@@ -129,9 +127,7 @@ def ruzsa_audit(seq: ExactSequence, config: AuditConfig | None = None) -> AuditR
     if detection.function is not None:
         func: RationalFunction = detection.function
         if func.denominator.degree >= 1:
-            singularities = singular_directions(
-                func, cfg.residual_tol, cfg.direction_tol
-            )
+            singularities = singular_directions(func)
         power_of_one_minus_x = is_power_of_one_minus_x(func.denominator)
         degree = polynomial_certificate(seq)
 

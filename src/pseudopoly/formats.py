@@ -14,7 +14,7 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .analytic import SingularityReport, theta_rows
+from .analytic import DIRECTION_TOL, RESIDUAL_TOL, SingularityReport, theta_rows
 from .audit import AuditReport
 from .core import ExactSequence, IntPolynomial, InputError, exact_str
 from .hankel import InvarianceReport, RationalityDetection
@@ -324,8 +324,8 @@ def audit_json_obj(report: AuditReport) -> dict:
             "growth_bound": report.config.growth_bound,
             "window": report.config.window,
             "n_max": report.config.n_max,
-            "residual_tol": report.config.residual_tol,
-            "direction_tol": report.config.direction_tol,
+            "residual_tol": RESIDUAL_TOL,
+            "direction_tol": DIRECTION_TOL,
         },
         "congruence": congruence_json_obj(report.congruence),
         "growth": {

@@ -11,10 +11,12 @@ zero minor is a degree jump of that sequence, not a special case.  A
 rational prefix is first scaled by the lcm D of its denominators, since
 det H_n(a) = det H_n(D a) / D^n.
 
-``hankel_determinant`` answers from a one-slot memo of the last sequence
-(compared by identity) and its minors, so a caller that asks for the
+A one-slot memo holds everything one remainder sequence of the last
+sequence (compared by identity) gives: its cleared terms D a, the scale D,
+the minors and the recurrence denominator.  A caller that asks for the
 orders from the top down pays one remainder sequence per prefix; the
-table, the detection and the audit all ask that way.
+table, the detection and the audit all ask that way, so an audit runs it
+once.
 
 Rationality detection uses the classical criterion that a power series is
 rational iff almost all of its Hankel determinants vanish (Kronecker 1881),
@@ -24,7 +26,9 @@ remainder sequence gives it: the cofactor of the prefix polynomial in the
 remainder that vanishes has the order L of the last nonzero minor, and since
 det H_L != 0 it is the unique solution of H_L c = (a_L .. a_(2L-1))
 (Jonckheere and Ma 1989).  It is used only when N >= 2L + window, and it
-is checked on every term in integers.
+is checked on every term in integers.  Being the shortest recurrence, it
+makes numerator and denominator coprime, so the detected function is not
+reduced again.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ from .core import (
 from .polyarith import (
     clear_to_int_pair,
     degree,
-    divmod_poly,
+    divmod_poly,  # not called here: bench/tracer.py's SITES wraps this name
     from_int_polynomial,
     gcd_poly,
     series_from_rational,
@@ -217,19 +221,36 @@ def _clear_denominators(terms) -> tuple[list[int], int]:
     return [t.numerator * (scale // t.denominator) for t in terms], scale
 
 
-# (sequence, the scale D or None for an integer sequence, leading minors of
-# that prefix's largest Hankel matrix so far).  It is replaced whole and
-# never edited, so concurrent callers stay correct.
-_minors_memo: tuple | None = None
+# (sequence, its terms times D, the lcm D of their denominators or None for
+# an integer sequence, then the minors and the recurrence denominator of one
+# remainder sequence at order n).  It is replaced whole and never edited, so
+# concurrent callers stay correct.
+_memo: tuple | None = None
+
+
+def _remainder_sequence(seq: ExactSequence, n: int) -> tuple:
+    """The memo entry of ``seq`` at order n or above, running the remainder
+    sequence again at order n only when the memo holds another sequence
+    object or a smaller order."""
+    global _memo
+    memo = _memo
+    if memo is None or memo[0] is not seq or len(memo[3]) < n:
+        if seq.is_integer:
+            values, scale = list(seq.terms), None
+        else:
+            values, scale = _clear_denominators(seq.terms)
+        memo = (seq, values, scale, *_leading_minors(values, n))
+        _memo = memo
+    return memo
 
 
 def hankel_determinant(seq: ExactSequence, n: int) -> Exact:
     """Exact determinant of the order-n Hankel matrix (order 0 gives 1).
 
-    Answered from the memo of ``seq``'s leading minors; a larger order or
-    another sequence object runs the remainder sequence again at order n.
+    Answered from the memo of ``seq``'s remainder sequence, which holds its
+    leading minors and its recurrence; a larger order or another sequence
+    object runs the remainder sequence again at order n.
     """
-    global _minors_memo
     if n == 0:
         return 1
     if n < 0:
@@ -238,15 +259,7 @@ def hankel_determinant(seq: ExactSequence, n: int) -> Exact:
         raise InputError(
             f"order {n} needs a prefix of length {2 * n - 1}, have {len(seq)}"
         )
-    memo = _minors_memo
-    if memo is None or memo[0] is not seq or len(memo[2]) < n:
-        if seq.is_integer:
-            values, scale = list(seq.terms[: 2 * n - 1]), None
-        else:
-            values, scale = _clear_denominators(seq.terms[: 2 * n - 1])
-        memo = (seq, scale, _leading_minors(values, n)[0])
-        _minors_memo = memo
-    _, scale, minors = memo
+    _, _, scale, minors, _ = _remainder_sequence(seq, n)
     det = minors[n - 1]
     return det if scale is None else Fraction(det, scale**n)
 
@@ -340,35 +353,12 @@ def normalized_det_growth(seq: ExactSequence, n_max: int) -> list[float | None]:
     return [r.normalized_growth for r in hankel_table(seq, n_max)]
 
 
-def _conjugate_by_lower_triangular(l_rows: list[list], h_rows: list[list]) -> list[list]:
-    """L @ H @ L^T exploiting that L is lower triangular."""
-    n = len(l_rows)
-    t = []
-    for i in range(n):
-        li = l_rows[i]
-        row = []
-        for j in range(n):
-            acc = 0
-            for k in range(i + 1):
-                c = li[k]
-                if c:
-                    acc += c * h_rows[k][j]
-            row.append(acc)
-        t.append(row)
-    out = []
-    for i in range(n):
-        ti = t[i]
-        row = []
-        for j in range(n):
-            lj = l_rows[j]
-            acc = 0
-            for k in range(j + 1):
-                c = lj[k]
-                if c:
-                    acc += ti[k] * c
-            row.append(acc)
-        out.append(row)
-    return out
+def _times_lower_triangular(l_rows: list[list], m_rows: list[list]) -> list[list]:
+    """L @ M^T for a lower triangular L, whose row i stops at column i."""
+    return [
+        [sum(map(operator.mul, li, mj)) for mj in m_rows]
+        for li in (row[: i + 1] for i, row in enumerate(l_rows))
+    ]
 
 
 def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceReport:
@@ -395,8 +385,10 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
     a = seq.integer_terms()
     b = binomial_transform(seq).integer_terms()
     h_b = _hankel_rows(b, n_max)
-    conjugated = _conjugate_by_lower_triangular(
-        lower_triangular_rows(n_max), _hankel_rows(a, n_max)
+    # H is symmetric, so L H L^T = L (L H)^T
+    l_rows = lower_triangular_rows(n_max)
+    conjugated = _times_lower_triangular(
+        l_rows, _times_lower_triangular(l_rows, _hankel_rows(a, n_max))
     )
     entrywise = min(
         (max(i, j) + 1 for i, j in itertools.product(range(n_max), repeat=2)
@@ -418,26 +410,24 @@ def _reconstruct(
     terms: tuple[Exact, ...], values: list[int], scale: int, den: list[int]
 ) -> RationalFunction:
     """num/den for the integer denominator ``den`` (lowest degree first) of
-    a recurrence of order len(den) - 1 that holds on all of ``terms``.
+    the shortest recurrence, of order len(den) - 1, that holds on all of
+    ``terms``.
 
     ``values`` are the terms times the lcm ``scale`` of their denominators,
     so the integer product den * values below that order is ``scale`` times
-    the numerator, and (that product, scale * den) is the function.  Its
-    expansion must reproduce ``terms``.
+    the numerator, and (that product, scale * den) is the function.  A
+    shortest recurrence makes the two coprime, so a common factor is an
+    InternalInvariantError, as is an expansion that misses ``terms``.
     """
     order = len(den) - 1
     num = trim([sum(map(operator.mul, den, values[k::-1])) for k in range(order)])
-    if num:
-        num = [Fraction(c) for c in num]
-        den = [Fraction(scale * c) for c in den]
-        g = gcd_poly(num, den)
-        if degree(g) > 0:
-            num, _ = divmod_poly(num, g)
-            den, _ = divmod_poly(den, g)
-    else:
-        den = [1]
-    n_poly, d_poly = clear_to_int_pair(num, den)
-    func = RationalFunction(n_poly, d_poly, order)
+    n_poly, d_poly = clear_to_int_pair(num, [scale * c for c in den] if num else [1])
+    try:
+        func = RationalFunction(n_poly, d_poly, order)
+    except InputError as exc:
+        raise InternalInvariantError(
+            f"the shortest recurrence gave no reduced rational function: {exc}"
+        ) from exc
     if func.taylor(len(terms)) != list(terms):
         raise InternalInvariantError(
             "reconstructed rational function does not reproduce the prefix"
@@ -452,17 +442,17 @@ def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetect
     fits the entire prefix must have an order r with 2r + window <= N, and
     the Hankel determinants must vanish for the last ``window`` observable
     orders.  The determinants are checked first, and only a zero window
-    leads on to the recurrence: the integer denominator that one more
-    remainder sequence of the denominator-cleared prefix returns, of the
-    order r of the last nonzero minor.  It is checked on every term in
-    integers.  The remainder sequence proves it on the terms the minors
-    read, so a miss there is an InternalInvariantError; a miss at the last
-    term of an even-length prefix, which no minor reads, means that no
-    recurrence of order r fits, and the prefix is not detected.  On success
-    the recurrence is turned into a numerator / denominator pair that is
-    re-expanded and checked against the prefix exactly.  Absence of
-    detection is a normal outcome; the determinant evidence is returned
-    either way.
+    leads on to the recurrence: the integer denominator, of the order r of
+    the last nonzero minor, that the remainder sequence of the
+    denominator-cleared prefix gave along with the determinants.  It is
+    checked on every term in integers.  The remainder sequence proves it on
+    the terms the minors read, so a miss there is an InternalInvariantError;
+    a miss at the last term of an even-length prefix, which no minor reads,
+    means that no recurrence of order r fits, and the prefix is not
+    detected.  On success the recurrence is turned into a numerator /
+    denominator pair that is re-expanded and checked against the prefix
+    exactly.  Absence of detection is a normal outcome; the determinant
+    evidence is returned either way.
     """
     if window < 1:
         raise InputError("window must be >= 1")
@@ -471,7 +461,8 @@ def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetect
         raise InputError(
             f"window {window} needs a prefix of length {2 * window + 2}, have {n_terms}"
         )
-    det_table = tuple(_determinants(seq, max_order(seq)))
+    n = max_order(seq)
+    det_table = tuple(_determinants(seq, n))
     zero_run = 0
     for d in reversed(det_table):
         if d != 0:
@@ -479,9 +470,7 @@ def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetect
         zero_run += 1
     function = None
     if all(d == 0 for d in det_table[-window:]):
-        values, scale = _clear_denominators(seq.terms)
-        n = max_order(seq)
-        _, den = _leading_minors(values, n)
+        _, values, scale, _, den = _remainder_sequence(seq, n)
         if den is not None:
             order = len(den) - 1
             miss = next((m for m in range(order, n_terms)
@@ -491,5 +480,5 @@ def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetect
                     "the remainder sequence's recurrence does not reproduce the prefix"
                 )
             if miss == n_terms and 2 * order + window <= n_terms:
-                function = _reconstruct(seq.terms, values, scale, den)
+                function = _reconstruct(seq.terms, values, scale or 1, den)
     return RationalityDetection(function, det_table, zero_run, window)

@@ -4,7 +4,8 @@ Polynomials are plain lists of coefficients, lowest degree first, trailing
 zeros trimmed.  This is deliberately small: just what rational-function
 reconstruction and the denominator analyses need.
 ``series_from_rational`` and ``clear_to_int_pair`` accept int coefficients
-as well as Fractions, and the series stays in ints wherever it is integral;
+as well as Fractions: rationality detection hands ``clear_to_int_pair`` an
+integer pair, and the series stays in ints wherever it is integral;
 ``divmod_poly``, ``gcd_poly``, ``monic`` and ``squarefree_factors`` divide
 with ``/`` and need Fractions (``from_int_polynomial`` gives them).
 """
@@ -31,13 +32,6 @@ def degree(p: Poly) -> int:
 
 def from_int_polynomial(p: IntPolynomial) -> Poly:
     return [Fraction(c) for c in p.coefficients]
-
-
-def eval_poly(p: Poly, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def mul(p: Poly, q: Poly) -> Poly:

@@ -10,15 +10,18 @@ forward-difference table.  The routines below are the direct methods
 those replaced: Berlekamp-Massey over the rationals and a Gauss-Jordan
 solve over the rationals for every candidate recurrence order, Gaussian
 elimination over the rationals, a fraction-free Bareiss elimination with
-row pivoting for every Hankel order, a conjugation for every order,
+row pivoting for every Hankel order, a conjugation by schoolbook matrix
+products for every order,
 explicit signed-binomial sums, an iterated-difference loop and synthetic
 division by (1 - x).  Valuations divide by p, p^2, p^4, ... and step back
 down, and reports are written by a direct indent-2 writer; the oracles
 here strip one factor of p per division and call json's own encoder.
-Taylor series are expanded in integers wherever they are integral, and
-the Hall-style generator solves only its prime-power constraints by CRT
-idempotents; the oracles divide every coefficient as a Fraction and fold
-every constraint in pairwise.  The property tests compare the fast paths
+Taylor series are expanded in integers wherever they are integral, the
+detected function is taken as coprime without a reduction, and the
+Hall-style generator solves only its prime-power constraints by CRT
+idempotents; the oracles divide every coefficient as a Fraction, divide
+the detected pair by its gcd over the rationals and fold every
+constraint in pairwise.  The property tests compare the fast paths
 against them.
 """
 from __future__ import annotations
@@ -36,11 +39,10 @@ from pseudopoly.hankel import (
     InvarianceReport,
     RationalFunction,
     _clear_denominators,
-    _conjugate_by_lower_triangular,
     _exact_valuation,
     _hankel_rows,
-    _reconstruct,
 )
+from pseudopoly.polyarith import clear_to_int_pair, degree, divmod_poly, gcd_poly, trim
 from pseudopoly.primes import sieve_primes
 
 
@@ -203,8 +205,31 @@ def detect_function(seq: ExactSequence, window: int) -> RationalFunction | None:
     ]
     if coeffs is None or any(trailing):
         return None
-    values, scale = _clear_denominators(seq.terms)
-    return _reconstruct(seq.terms, values, scale, recurrence_denominator(coeffs))
+    return reconstruct_by_fractions(seq.terms, recurrence_denominator(coeffs))
+
+
+def reconstruct_by_fractions(terms: tuple, den: list[int]) -> RationalFunction:
+    """num/den for the integer denominator ``den`` (lowest degree first) of
+    a recurrence of order len(den) - 1 that holds on all of ``terms``: the
+    numerator is den * terms below that order, and the pair is divided by
+    its gcd over the rationals before it is scaled to coprime integers."""
+    order = len(den) - 1
+    num = trim([sum(d * Fraction(t) for d, t in zip(den, terms[k::-1]))
+                for k in range(order)])
+    den = [Fraction(c) for c in den]
+    if num:
+        g = gcd_poly(num, den)
+        if degree(g) > 0:
+            num, _ = divmod_poly(num, g)
+            den, _ = divmod_poly(den, g)
+    else:
+        den = [Fraction(1)]
+    func = RationalFunction(*clear_to_int_pair(num, den), order)
+    if func.taylor(len(terms)) != list(terms):
+        raise InternalInvariantError(
+            "reconstructed rational function does not reproduce the prefix"
+        )
+    return func
 
 
 def recurrence_denominator(coeffs: list[Fraction]) -> list[int]:
@@ -255,10 +280,10 @@ def det_table_by_order(seq: ExactSequence) -> tuple:
 
 
 def invariance_by_order(seq: ExactSequence, n_max: int) -> InvarianceReport:
-    """Transform invariance, order by order: a conjugation and two
-    determinants for every n, the first failure reported.  The transform
-    and L are looked up on the library module, so a test that replaces
-    them there changes this oracle too."""
+    """Transform invariance, order by order: a conjugation by schoolbook
+    matrix products and two determinants for every n, the first failure
+    reported.  The transform and L are looked up on the library module, so
+    a test that replaces them there changes this oracle too."""
     if not seq.is_integer:
         seq = ExactSequence(tuple(_clear_denominators(seq.terms)[0]))
     a = seq.integer_terms()
@@ -266,7 +291,8 @@ def invariance_by_order(seq: ExactSequence, n_max: int) -> InvarianceReport:
     for n in range(1, n_max + 1):
         h_f = _hankel_rows(a, n)
         h_g = _hankel_rows(b, n)
-        conjugated = _conjugate_by_lower_triangular(hankel.lower_triangular_rows(n), h_f)
+        l_rows = hankel.lower_triangular_rows(n)
+        conjugated = matmul(matmul(l_rows, h_f), transpose(l_rows))
         if conjugated != h_g:
             return InvarianceReport(False, n_max, (n, "entrywise"))
         if bareiss_det(h_f) != bareiss_det(h_g):

@@ -420,3 +420,21 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("INTERNAL INVARIANT VIOLATED")
+
+    def test_recurrence_with_a_common_factor_exits_three(self, tmp_path, capsys, monkeypatch):
+        # (1 - x) too many in the denominator still gives a recurrence of the
+        # prefix, but not a reduced function: also a bug, not a finding
+        original = hankel._leading_minors
+
+        def times_one_minus_x(values, n):
+            minors, den = original(values, n)
+            return minors, None if den is None else [
+                a - b for a, b in zip(den + [0], [0] + den)
+            ]
+
+        monkeypatch.setattr(hankel, "_leading_minors", times_one_minus_x)
+        path = write_sequence(tmp_path, "cubic.txt", [n**3 - 7 * n + 2 for n in range(40)])
+        assert run_cli(["audit", "--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("INTERNAL INVARIANT VIOLATED")

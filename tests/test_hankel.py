@@ -20,6 +20,7 @@ from pseudopoly import (
     max_order,
     normalized_det_growth,
     padic_valuation,
+    ruzsa_audit,
     verify_transform_invariance,
 )
 from pseudopoly import hankel
@@ -33,6 +34,22 @@ def fibonacci(count):
     while len(terms) < count:
         terms.append(terms[-1] + terms[-2])
     return terms[:count]
+
+
+CUBIC_40 = [n**3 - 7 * n + 2 for n in range(40)]
+
+
+def times_one_minus_x(leading_minors):
+    """``leading_minors`` with its recurrence denominator multiplied by
+    (1 - x): still a recurrence of the prefix, one order too long."""
+
+    def patched(values, n):
+        minors, den = leading_minors(values, n)
+        if den is not None:
+            den = [a - b for a, b in zip(den + [0], [0] + den)]
+        return minors, den
+
+    return patched
 
 
 def permutation_det(rows):
@@ -323,6 +340,33 @@ class TestDetectRationality:
         terms = (1, 2, 4, 8, 17)
         with pytest.raises(InternalInvariantError):
             hankel._reconstruct(terms, list(terms), 1, [1, -2])
+
+    @pytest.mark.parametrize("terms", [CUBIC_40, fibonacci(40)], ids=["cubic", "fibonacci"])
+    def test_rational_audit_runs_one_remainder_sequence(self, terms, monkeypatch):
+        # the table, the detection and the recurrence all read one run, and
+        # the function is checked for coprimality once, not also reduced
+        runs, gcds = [], []
+        leading_minors, gcd_poly = hankel._leading_minors, hankel.gcd_poly
+
+        def forbidden(*args):
+            raise AssertionError("divmod_poly called")
+
+        monkeypatch.setattr(hankel, "_leading_minors",
+                            lambda values, n: runs.append(n) or leading_minors(values, n))
+        monkeypatch.setattr(hankel, "gcd_poly", lambda p, q: gcds.append(1) or gcd_poly(p, q))
+        monkeypatch.setattr(hankel, "divmod_poly", forbidden)
+        report = ruzsa_audit(ExactSequence.of(terms))
+        assert report.rationality.function is not None
+        assert runs == [20]
+        assert len(gcds) == 1
+
+    @pytest.mark.parametrize("terms", [CUBIC_40, fibonacci(40)], ids=["cubic", "fibonacci"])
+    def test_recurrence_with_a_common_factor_is_an_internal_error(self, terms, monkeypatch):
+        # a shortest recurrence gives a coprime pair; (1 - x) too many in
+        # the denominator is a bug to report, not a factor to divide out
+        monkeypatch.setattr(hankel, "_leading_minors", times_one_minus_x(hankel._leading_minors))
+        with pytest.raises(InternalInvariantError, match="reduced rational function"):
+            detect_rationality(ExactSequence.of(terms))
 
     def test_short_window_of_nonzero_determinants_blocks_detection(self):
         # order-2 recurrence holds but the trailing window still sees a

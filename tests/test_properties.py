@@ -37,6 +37,7 @@ from oracles import (
     rational_det,
     recurrence_by_order_search,
     recurrence_denominator,
+    reconstruct_by_fractions,
     series_by_fractions,
     signed_binomial_sums,
 )
@@ -59,7 +60,6 @@ from pseudopoly import (
 )
 from pseudopoly import hankel
 from pseudopoly.formats import dumps
-from pseudopoly.hankel import _reconstruct
 from pseudopoly.polyarith import series_from_rational
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -149,10 +149,10 @@ def test_detection_matches_berlekamp_massey(terms, window):
     window = min(window, (len(seq) - 2) // 2)
     exact = [Fraction(t) for t in seq.terms]
     coeffs = berlekamp_massey(exact)
-    values, scale = hankel._clear_denominators(seq.terms)
+    values, _ = hankel._clear_denominators(seq.terms)
     expected = None
     if not any(det_table_by_order(seq)[-window:]) and 2 * len(coeffs) + window <= len(exact):
-        expected = _reconstruct(seq.terms, values, scale, recurrence_denominator(coeffs))
+        expected = reconstruct_by_fractions(seq.terms, recurrence_denominator(coeffs))
     assert detect_rationality(seq, window).function == expected
     minors, den = hankel._leading_minors(values, max_order(seq))
     if den is not None:

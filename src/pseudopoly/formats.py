@@ -4,7 +4,9 @@ Sequence files are either newline-delimited decimal integers or a JSON
 array of decimal strings; both are exact, floats are rejected.
 Polynomials are JSON arrays of decimal-string coefficients, lowest degree
 first.  Report serialization is deterministic: identical inputs yield
-byte-identical JSON.
+byte-identical JSON, the bytes of json.dumps(obj, sort_keys=True, indent=2).
+The rows a report repeats (Hankel table rows and congruence violations)
+are written by one f-string each, not built as one dict per row.
 """
 from __future__ import annotations
 
@@ -106,10 +108,6 @@ def parse_polynomial(text: str) -> IntPolynomial:
     )))
 
 
-def render_polynomial(poly: IntPolynomial) -> str:
-    return json.dumps(list(map(exact_str, poly.coefficients)))
-
-
 def _float_repr(value: float) -> str:
     if value != value:
         return "NaN"
@@ -142,17 +140,41 @@ def _encoder(value):
         return int.__repr__
     if isinstance(value, float):
         return _float_repr
-    if isinstance(value, (list, tuple, dict)):
+    if isinstance(value, (list, tuple, dict, _Rows)):
         return None
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+class _Rows:
+    """A JSON array of report rows that repeat one shape; ``render(item,
+    newline)`` writes one row as the indent-2 JSON of its dict, starting on
+    the line whose break and indent are ``newline``."""
+
+    __slots__ = ("items", "render")
+
+    def __init__(self, items, render):
+        self.items = items
+        self.render = render
+
+
+def _write_rows(rows: _Rows, newline: str) -> str:
+    if not rows.items:
+        return "[]"
+    inner = newline + "  "
+    render = rows.render
+    return ("[" + inner + ("," + inner).join([render(item, inner) for item in rows.items])
+            + newline + "]")
+
+
 def _write(obj, append, newline: str) -> None:
-    """Append the pieces of the indent-2 JSON of a list, tuple or dict;
-    newline is the line break and indent of the line obj starts on.
+    """Append the pieces of the indent-2 JSON of a list, tuple, dict or
+    _Rows; newline is the line break and indent of the line obj starts on.
     Module-level, so that no call makes a closure that refers to itself:
     that would be a reference cycle holding every piece until the cyclic
     collector runs."""
+    if type(obj) is _Rows:
+        append(_write_rows(obj, newline))
+        return
     if not obj:
         append("{}" if isinstance(obj, dict) else "[]")
         return
@@ -190,8 +212,9 @@ def _write(obj, append, newline: str) -> None:
 
 def dumps(obj) -> str:
     """Canonical JSON text: the bytes of json.dumps(obj, sort_keys=True,
-    indent=2) plus a trailing newline.  Dict keys must be str; a value
-    json cannot encode raises TypeError."""
+    indent=2) plus a trailing newline, where a _Rows array stands for the
+    list of its rows' dicts and each row is written by one f-string.  Dict
+    keys must be str; a value json cannot encode raises TypeError."""
     encode = _encoder(obj)
     if encode is not None:
         return encode(obj) + "\n"
@@ -201,8 +224,10 @@ def dumps(obj) -> str:
     return "".join(pieces)
 
 
-def _valuation_value(v):
-    return "inf" if v == math.inf else v
+def _violation_row(v, newline: str) -> str:
+    i = newline + "  "
+    return (f'{{{i}"lhs_residue": {v.lhs_residue},{i}"modulus": {v.modulus},'
+            f'{i}"n": {v.n},{i}"rhs_residue": {v.rhs_residue}{newline}}}')
 
 
 def congruence_json_obj(report: CongruenceReport) -> dict:
@@ -211,11 +236,7 @@ def congruence_json_obj(report: CongruenceReport) -> dict:
         "length": report.length,
         "checked_pairs": report.checked_pairs,
         "ok": report.ok,
-        "violations": [
-            {"n": v.n, "modulus": v.modulus, "lhs_residue": v.lhs_residue,
-             "rhs_residue": v.rhs_residue}
-            for v in report.violations
-        ],
+        "violations": _Rows(report.violations, _violation_row),
     }
 
 
@@ -226,23 +247,30 @@ def congruence_csv(report: CongruenceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def hankel_json_obj(records) -> list[dict]:
-    out = []
-    for rec in records:
-        out.append(
-            {
-                "n": rec.n,
-                "det": exact_str(rec.det),
-                "required_divisor": exact_str(rec.required_divisor),
-                "divisible": rec.divisible,
-                "normalized_growth": rec.normalized_growth,
-                "valuations": {
-                    str(p): {"required": req, "actual": _valuation_value(act)}
-                    for p, req, act in rec.valuations
-                },
-            }
-        )
-    return out
+def _hankel_row(rec, newline: str) -> str:
+    i = newline + "  "
+    if rec.valuations:
+        i2 = i + "  "
+        i3 = i2 + "  "
+        # '"' sorts below every digit, so sorting the entries sorts their
+        # prime keys as strings: "11" before "2", "2" before "23"
+        valuations = "{" + ",".join(sorted([
+            f"""{i2}"{p}": {{{i3}"actual": {'"inf"' if act == math.inf else act},"""
+            f"""{i3}"required": {req}{i2}}}"""
+            for p, req, act in rec.valuations
+        ])) + i + "}"
+    else:
+        valuations = "{}"
+    growth = rec.normalized_growth
+    return (f"""{{{i}"det": "{exact_str(rec.det)}","""
+            f"""{i}"divisible": {'true' if rec.divisible else 'false'},{i}"n": {rec.n},"""
+            f"""{i}"normalized_growth": {'null' if growth is None else _float_repr(growth)},"""
+            f"""{i}"required_divisor": "{exact_str(rec.required_divisor)}","""
+            f"""{i}"valuations": {valuations}{newline}}}""")
+
+
+def hankel_json_obj(records) -> _Rows:
+    return _Rows(records, _hankel_row)
 
 
 def hankel_csv(records) -> str:

@@ -76,10 +76,6 @@ class HankelRecord:
     divisible: bool
     normalized_growth: float | None
 
-    @property
-    def valuation_map(self) -> dict[int, tuple[int, int | float]]:
-        return {p: (req, actual) for p, req, actual in self.valuations}
-
 
 @dataclass(frozen=True)
 class RationalFunction:

@@ -14,8 +14,10 @@ row pivoting for every Hankel order, a conjugation by schoolbook matrix
 products for every order,
 explicit signed-binomial sums, an iterated-difference loop and synthetic
 division by (1 - x).  Valuations divide by p, p^2, p^4, ... and step back
-down, and reports are written by a direct indent-2 writer; the oracles
-here strip one factor of p per division and call json's own encoder.
+down, reports are written by a direct indent-2 writer, and their Hankel and
+congruence-violation rows by one f-string per row; the oracles here strip
+one factor of p per division, build one dict per row and call json's own
+encoder.
 Taylor series are expanded in integers wherever they are integral, the
 detected function is taken as coprime without a reduction, and the
 Hall-style generator solves only its prime-power constraints by CRT
@@ -32,8 +34,8 @@ import operator
 from fractions import Fraction
 
 from pseudopoly import ExactSequence, InternalInvariantError, max_order
-from pseudopoly import hankel
-from pseudopoly.core import log_abs_exact
+from pseudopoly import formats, hankel
+from pseudopoly.core import IntPolynomial, exact_str, log_abs_exact
 from pseudopoly.hankel import (
     HankelRecord,
     InvarianceReport,
@@ -372,6 +374,61 @@ def padic_valuation_by_division(x: int, p: int) -> int | float:
 def json_dumps(obj) -> str:
     """The canonical report text, from json's own (pure-Python) encoder."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def render_polynomial(poly: IntPolynomial) -> str:
+    """The polynomial file format: a JSON array of decimal strings."""
+    return json.dumps(list(map(exact_str, poly.coefficients)))
+
+
+def valuation_map(record: HankelRecord) -> dict[int, tuple[int, int | float]]:
+    """prime -> (required exponent, actual exponent) of one Hankel row."""
+    return {p: (req, actual) for p, req, actual in record.valuations}
+
+
+def _valuation_value(v):
+    return "inf" if v == math.inf else v
+
+
+def hankel_rows_as_dicts(records) -> list[dict]:
+    """The ``hankel`` report rows, one dict per row."""
+    return [
+        {
+            "n": rec.n,
+            "det": exact_str(rec.det),
+            "required_divisor": exact_str(rec.required_divisor),
+            "divisible": rec.divisible,
+            "normalized_growth": rec.normalized_growth,
+            "valuations": {
+                str(p): {"required": req, "actual": _valuation_value(act)}
+                for p, req, act in rec.valuations
+            },
+        }
+        for rec in records
+    ]
+
+
+def congruence_as_dict(report) -> dict:
+    """The congruence report, one dict per violation."""
+    return {
+        "mode": report.mode,
+        "length": report.length,
+        "checked_pairs": report.checked_pairs,
+        "ok": report.ok,
+        "violations": [
+            {"n": v.n, "modulus": v.modulus, "lhs_residue": v.lhs_residue,
+             "rhs_residue": v.rhs_residue}
+            for v in report.violations
+        ],
+    }
+
+
+def audit_as_dict(report) -> dict:
+    """The audit report with its congruence and Hankel rows as dicts."""
+    obj = formats.audit_json_obj(report)
+    obj["congruence"] = congruence_as_dict(report.congruence)
+    obj["hankel"] = hankel_rows_as_dicts(report.hankel)
+    return obj
 
 
 def hall_by_pairwise_crt(length: int, perturbation: list[int]) -> list[int]:

@@ -210,6 +210,17 @@ class TestTransfiniteDiameterEstimate:
             bound = dubinin_bound(hedgehog)
             assert abs(estimate - bound) <= 0.1 * bound
 
+    def test_scales_down_to_subnormal_endpoints(self):
+        # cap(tK) = t cap(K): on subnormal endpoints the estimate is the
+        # nearest double to the unit estimate times t, which is all the
+        # digits a subnormal has (1.5e-323 is nearest to 1.70e-323)
+        unit = estimate_transfinite_diameter(Hedgehog((1 + 0j,)), 8, 2048)
+        for t in (1e-320, 1e-322):
+            estimate = estimate_transfinite_diameter(Hedgehog((complex(t),)), 8, 2048)
+            assert estimate.hex() == (unit * t).hex()
+        estimate = estimate_transfinite_diameter(Hedgehog((1e-300 + 0j,)), 8, 2048)
+        assert estimate == pytest.approx(unit * 1e-300, rel=1e-9, abs=0.0)
+
     def test_parameter_validation(self):
         hedgehog = Hedgehog((1 + 0j,))
         with pytest.raises(InputError):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import render_polynomial
 from pseudopoly import AuditConfig, ExactSequence, InputError, IntPolynomial
 from pseudopoly import generate_primary, ruzsa_audit
 from pseudopoly import hankel
@@ -17,7 +18,6 @@ from pseudopoly.formats import (
     hankel_json_obj,
     parse_polynomial,
     parse_sequence,
-    render_polynomial,
     render_sequence,
 )
 
@@ -75,7 +75,7 @@ class TestFormats:
             HankelRecord(1, -big, big, (), True, None),
             HankelRecord(2, Fraction(big, 3), 1, (), True, None),
         ]
-        obj = hankel_json_obj(records)
+        obj = json.loads(dumps(hankel_json_obj(records)))
         assert [r["det"] for r in obj] == ["-" + digits, digits + "/3"]
         assert obj[0]["required_divisor"] == digits
         assert hankel_csv(records).splitlines()[1:] == [

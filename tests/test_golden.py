@@ -19,6 +19,7 @@ from pseudopoly.cli import run_cli
 GENERATED = {
     "primary": ["gen", "primary", "--n-max", "30", "--seed", "1"],
     "hall": ["gen", "hall", "--n-max", "30", "--seed", "2"],
+    "primary-160": ["gen", "primary", "--n-max", "160", "--seed", "3"],
 }
 
 
@@ -26,11 +27,17 @@ def _fixed_inputs() -> dict[str, list[int]]:
     fib = [0, 1]
     while len(fib) < 40:
         fib.append(fib[-1] + fib[-2])
+    cfinite = [1, 0, 2]
+    while len(cfinite) < 60:
+        cfinite.append(2 * cfinite[-1] + 3 * cfinite[-2] - cfinite[-3])
     rng = random.Random(20)
+    wide = random.Random(160)
     return {
         "cubic": [n**3 - 7 * n + 2 for n in range(40)],
         "fibonacci": fib,
         "random": [rng.randint(-1000, 1000) for _ in range(20)],
+        "cfinite": cfinite,
+        "random-160": [wide.randint(-10**6, 10**6) for _ in range(160)],
     }
 
 
@@ -44,10 +51,19 @@ COMMANDS = {
     "rational": ["rational", "detect"],
     "congruences": ["check", "congruences", "--mode", "full"],
 }
+# Reports made mostly of repeated rows: 11,965 congruence violations, a
+# Hankel table of orders 1..80 (primes up to 79 as valuation keys), and the
+# audit of an order-3 C-finite prefix with 506 violations.
+ROW_HEAVY = [
+    ("congruences-random-160", "random-160", COMMANDS["congruences"]),
+    ("hankel-primary-160", "primary-160", COMMANDS["hankel"]),
+    ("audit-json-cfinite", "cfinite", COMMANDS["audit-json"]),
+]
 CASES = (
-    [(f"gen-{name}", None, argv) for name, argv in GENERATED.items()]
+    [(f"gen-{name}", None, GENERATED[name]) for name in ("primary", "hall")]
     + [(f"{cmd}-{inp}", inp, argv) for cmd, argv in COMMANDS.items() for inp in INPUTS]
     + [("theta-300", None, ["theta", "table", "--n-max", "300"])]
+    + ROW_HEAVY
 )
 
 # (exit code, sha256 of stdout), recorded before the forward-difference and
@@ -91,6 +107,10 @@ GOLDEN = {
     "congruences-hall": (0, "d0a0a905780e434c6a87b61cd7bf6ecbb268903b3745838190af2b5118e050d6"),
     "congruences-random": (1, "791e00e0994f914a6e8a20a07f69eb7131878efe9a0e606d2da9066cbfed28dc"),
     "theta-300": (0, "ffd4fd81040a19e938e291d6bce1a7fd9019c297684768ef65cefbe0fdf3692b"),
+    # recorded before the report rows were written by one f-string each
+    "congruences-random-160": (1, "5f8fba2bd4fc39322cba2395d67843a8a976ac5c44f0da8656ff3a61928a5cfe"),
+    "hankel-primary-160": (0, "f09692b5fefb12b31515413091494e101d063202eceb3da50fe7f4e3d48e03ef"),
+    "audit-json-cfinite": (1, "5927912ad0bf63affba26e90c0cb170845b9cdb1af2d3a6e94088b98d5098258"),
 }
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import matmul, transpose
+from oracles import matmul, transpose, valuation_map
 from pseudopoly import (
     ExactSequence,
     InputError,
@@ -190,8 +190,8 @@ class TestHankelTable:
         seq = ExactSequence.of(list(range(1, 10)))
         rec = hankel_table(seq, 5)[4]
         assert rec.required_divisor == 72  # 2^3 * 3^2
-        assert rec.valuation_map[2][0] == 3
-        assert rec.valuation_map[3][0] == 2
+        assert valuation_map(rec)[2][0] == 3
+        assert valuation_map(rec)[3][0] == 2
 
     def test_generated_sequences_are_divisible(self):
         rng = random.Random(37)

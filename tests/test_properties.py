@@ -10,10 +10,12 @@ Bareiss elimination per order, and the forward-difference table
 (transform pair, polynomiality certificate, power-of-(1 - x) test) with
 explicit binomial sums, the iterated-difference loop and synthetic
 division.  Valuations are compared with one division by p at a time, the
-report writer with json's own indent-2 encoder, the integer Taylor
+report writer with json's own indent-2 encoder, its Hankel and
+congruence-violation rows with one dict per row, the integer Taylor
 expansion with one in Fractions, and the Hall-style generator with a
 pairwise CRT fold over every constraint.
 """
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -22,13 +24,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    audit_as_dict,
     berlekamp_massey,
     binomial_sums,
     certificate_by_differences,
+    congruence_as_dict,
     det_table_by_order,
     detect_function,
     determinant_by_order,
     hall_by_pairwise_crt,
+    hankel_rows_as_dicts,
     hankel_table_by_order,
     invariance_by_order,
     json_dumps,
@@ -56,11 +61,14 @@ from pseudopoly import (
     max_order,
     padic_valuation,
     polynomial_certificate,
+    ruzsa_audit,
     verify_transform_invariance,
 )
 from pseudopoly import hankel
-from pseudopoly.formats import dumps
+from pseudopoly.formats import audit_json_obj, congruence_json_obj, dumps, hankel_json_obj
+from pseudopoly.hankel import HankelRecord
 from pseudopoly.polyarith import series_from_rational
+from pseudopoly.sequences import CongruenceReport, Violation
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -480,3 +488,58 @@ json_values = st.recursive(
 @example({"f": FloatSubclass(2.5), "i": IntSubclass(3), "l": [FloatSubclass(-0.0)]})
 def test_writer_matches_json_encoder(value):
     assert dumps(value) == json_dumps(value)
+
+
+# Report rows: determinants past the 4,300-digit str limit and as
+# Fractions, primes 2..29 (so "11" sorts before "2"), empty and infinite
+# valuations, and growth values at both ends of the float range.
+PAST_STR_LIMIT = 10**4400 + 7
+row_dets = st.one_of(
+    st.integers(),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(2, 10**9)),
+    st.sampled_from([PAST_STR_LIMIT, -PAST_STR_LIMIT, Fraction(PAST_STR_LIMIT, 3)]),
+)
+row_valuations = st.integers(0, 10).flatmap(lambda k: st.tuples(*(
+    st.tuples(st.just(p), st.integers(0, 200), st.one_of(st.integers(0, 10**6), st.just(math.inf)))
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)[:k]
+)))
+hankel_records = st.builds(
+    HankelRecord,
+    st.integers(1, 10**6),
+    row_dets,
+    st.one_of(st.integers(1, 10**60), st.just(PAST_STR_LIMIT)),
+    row_valuations,
+    st.booleans(),
+    st.one_of(st.floats(), st.sampled_from([None, -0.0, 1e-300, 5e-324])),
+)
+violations = st.lists(st.builds(
+    Violation, st.integers(0, 10**4), st.integers(2, 10**4), st.integers(0, 10**4),
+    st.integers(0, 10**4),
+), max_size=8)
+congruence_reports = st.builds(
+    CongruenceReport, st.sampled_from(["primary", "full"]), st.integers(0, 10**4),
+    st.integers(0, 10**6), violations.map(tuple),
+)
+BASE_AUDIT = ruzsa_audit(ExactSequence.of([2**n for n in range(12)]))
+
+
+@PROPERTY
+@given(st.lists(hankel_records, max_size=5), congruence_reports)
+@example([], CongruenceReport("full", 0, 0, ()))
+@example([HankelRecord(1, 3, 1, (), True, None)], CongruenceReport("primary", 3, 1, ()))
+def test_row_writers_match_dict_rows(records, congruence):
+    assert dumps(hankel_json_obj(records)) == json_dumps(hankel_rows_as_dicts(records))
+    assert dumps(congruence_json_obj(congruence)) == json_dumps(congruence_as_dict(congruence))
+    report = dataclasses.replace(BASE_AUDIT, hankel=tuple(records), congruence=congruence)
+    assert dumps(audit_json_obj(report)) == json_dumps(audit_as_dict(report))
+
+
+@PROPERTY
+@given(st.one_of(
+    c_finite(st.integers(-3, 3)).filter(lambda terms: len(terms) >= 10),
+    primary_or_hall(),
+    st.lists(small_ints, min_size=10, max_size=22),
+))
+def test_audit_report_matches_dict_rows(terms):
+    report = ruzsa_audit(ExactSequence.of(terms))
+    assert dumps(audit_json_obj(report)) == json_dumps(audit_as_dict(report))

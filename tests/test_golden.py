@@ -30,6 +30,13 @@ def _fixed_inputs() -> dict[str, list[int]]:
     cfinite = [1, 0, 2]
     while len(cfinite) < 60:
         cfinite.append(2 * cfinite[-1] + 3 * cfinite[-2] - cfinite[-3])
+    rec12 = [1, 0, -1, 2, 0, 1, -1, 0, 1, 0, 1, -3]  # a_n = sum rec12[i-1] a_(n-i)
+    cfinite12 = [1, 0, 2, -1, 3, 0, 1, 1, -2, 0, 1, 2]
+    while len(cfinite12) < 60:
+        cfinite12.append(sum(c * cfinite12[-1 - i] for i, c in enumerate(rec12)))
+    base = [1, 1, 1]  # 1/(1 - x - 2x^3)
+    while len(base) < 40:
+        base.append(base[-1] + 2 * base[-3])
     rng = random.Random(20)
     wide = random.Random(160)
     return {
@@ -38,6 +45,9 @@ def _fixed_inputs() -> dict[str, list[int]]:
         "random": [rng.randint(-1000, 1000) for _ in range(20)],
         "cfinite": cfinite,
         "random-160": [wide.randint(-10**6, 10**6) for _ in range(160)],
+        "octic": [n**8 - 5 * n**3 + 2 for n in range(40)],
+        "cfinite12": cfinite12,
+        "square": [sum(base[i] * base[n - i] for i in range(n + 1)) for n in range(40)],
     }
 
 
@@ -59,11 +69,19 @@ ROW_HEAVY = [
     ("hankel-primary-160", "primary-160", COMMANDS["hankel"]),
     ("audit-json-cfinite", "cfinite", COMMANDS["audit-json"]),
 ]
+# Audits whose denominators are larger than those above: (1 - x)^9 for a
+# degree-8 polynomial, an order-12 recurrence whose denominator has leading
+# coefficient 3, and (1 - x - 2x^3)^2, whose squarefree factors repeat.
+LARGE_DENOMINATORS = [
+    (f"audit-json-{name}", name, COMMANDS["audit-json"])
+    for name in ("octic", "cfinite12", "square")
+]
 CASES = (
     [(f"gen-{name}", None, GENERATED[name]) for name in ("primary", "hall")]
     + [(f"{cmd}-{inp}", inp, argv) for cmd, argv in COMMANDS.items() for inp in INPUTS]
     + [("theta-300", None, ["theta", "table", "--n-max", "300"])]
     + ROW_HEAVY
+    + LARGE_DENOMINATORS
 )
 
 # (exit code, sha256 of stdout), recorded before the forward-difference and
@@ -111,6 +129,10 @@ GOLDEN = {
     "congruences-random-160": (1, "5f8fba2bd4fc39322cba2395d67843a8a976ac5c44f0da8656ff3a61928a5cfe"),
     "hankel-primary-160": (0, "f09692b5fefb12b31515413091494e101d063202eceb3da50fe7f4e3d48e03ef"),
     "audit-json-cfinite": (1, "5927912ad0bf63affba26e90c0cb170845b9cdb1af2d3a6e94088b98d5098258"),
+    # recorded before polyarith moved from arithmetic over Q to integers
+    "audit-json-octic": (0, "1a1b47eeb12520998bdef06b6c780962e8df4f1a37e8d0fc5aaffcba728b5b8a"),
+    "audit-json-cfinite12": (1, "5ac8a588e3c6ef6ebd079874e6d121935ac4d987331c84a482eab9b0ad1803c2"),
+    "audit-json-square": (1, "1c4488c9ed66a6ebba6dc53436324982047229dd3ec75335fe8006ec9d86892e"),
 }
 
 

@@ -298,17 +298,19 @@ def singular_directions(function: RationalFunction) -> SingularityReport:
     """Locate the poles of a rational function and group their arguments.
 
     Multiplicities are obtained exactly (squarefree decomposition over the
-    rationals), so the root finder only ever sees simple roots; each root
-    must pass a relative residual test at RESIDUAL_TOL or NumericError is
-    raised.  Directions are principal arguments clustered at
-    DIRECTION_TOL; the radius is the smallest pole modulus.
+    integers), so the root finder only ever sees simple roots: each
+    primitive factor divided by its leading coefficient, as correctly
+    rounded quotients of ints.  Each root must pass a relative residual
+    test at RESIDUAL_TOL or NumericError is raised.  Directions are
+    principal arguments clustered at DIRECTION_TOL; the radius is the
+    smallest pole modulus.
     """
     den = function.denominator
     if den.degree < 1:
         raise InputError("denominator must have degree >= 1")
     poles: list[tuple[complex, int]] = []
     for factor, multiplicity in squarefree_factors(from_int_polynomial(den)):
-        coeffs = np.array([float(c) for c in reversed(factor)])
+        coeffs = np.array([c / factor[-1] for c in reversed(factor)])
         roots = np.roots(coeffs)
         scale = float(np.max(np.abs(coeffs)))
         deg = len(coeffs) - 1

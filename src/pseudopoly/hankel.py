@@ -101,13 +101,12 @@ class RationalFunction:
         coeffs = self.numerator.coefficients + self.denominator.coefficients
         if math.gcd(*coeffs) != 1:
             raise InputError("numerator and denominator must have joint content 1")
-        if not self.numerator.is_zero:
-            g = gcd_poly(
-                from_int_polynomial(self.numerator),
-                from_int_polynomial(self.denominator),
-            )
-            if degree(g) > 0:
-                raise InputError("numerator and denominator must be coprime")
+        g = gcd_poly(
+            from_int_polynomial(self.numerator),
+            from_int_polynomial(self.denominator),
+        )
+        if degree(g) > 0:
+            raise InputError("numerator and denominator must be coprime")
 
     def taylor(self, count: int) -> list[Exact]:
         """First ``count`` coefficients of the power series expansion."""

@@ -1,118 +1,112 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomial arithmetic over the integers.
 
-Polynomials are plain lists of coefficients, lowest degree first, trailing
-zeros trimmed.  This is deliberately small: just what rational-function
-reconstruction and the denominator analyses need.
-``series_from_rational`` and ``clear_to_int_pair`` accept int coefficients
-as well as Fractions: rationality detection hands ``clear_to_int_pair`` an
-integer pair, and the series stays in ints wherever it is integral;
-``divmod_poly``, ``gcd_poly``, ``monic`` and ``squarefree_factors`` divide
-with ``/`` and need Fractions (``from_int_polynomial`` gives them).
+Polynomials are plain lists of int coefficients, lowest degree first,
+trailing zeros trimmed.  This is deliberately small: just what
+rational-function reconstruction and the denominator analyses need.  The one
+division is pseudo-division, so no Fraction is built: gcds and squarefree
+factors are primitive (content 1) with a positive leading coefficient, and a
+factor that is monic over the rationals is the primitive one divided by its
+leading coefficient.  ``series_from_rational`` alone also accepts Fraction
+coefficients, and builds a Fraction only for a series coefficient that is
+not integral.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import zip_longest
+from math import gcd
 from typing import Sequence
 
-from .core import Exact, IntPolynomial, InputError
-
-Poly = list[Fraction]
+from .core import Exact, IntPolynomial, InputError, InternalInvariantError
 
 
-def trim(p: Poly) -> Poly:
+def trim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p = p[:-1]
     return p
 
 
-def degree(p: Poly) -> int:
+def degree(p: list[int]) -> int:
     return len(trim(p)) - 1
 
 
-def from_int_polynomial(p: IntPolynomial) -> Poly:
-    return [Fraction(c) for c in p.coefficients]
+def from_int_polynomial(p: IntPolynomial) -> list[int]:
+    return list(p.coefficients)
 
 
-def mul(p: Poly, q: Poly) -> Poly:
-    p, q = trim(p), trim(q)
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return trim(out)
-
-
-def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+def divmod_poly(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division: (Q, R) with lc(q)^(d+1) p = Q q + R and deg R < deg q,
+    where d = deg p - deg q; (0, p) when deg p < deg q."""
     p, q = trim(p), trim(q)
     if not q:
         raise InputError("polynomial division by zero")
+    lead, m = q[-1], len(q) - 1
     rem = list(p)
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
+    quot = [0] * max(0, len(p) - m)
     for k in range(len(p) - len(q), -1, -1):
-        factor = rem[k + len(q) - 1] / lead
-        if factor == 0:
-            continue
+        factor = rem[k + m]
+        quot = [lead * c for c in quot]
         quot[k] = factor
-        for j, c in enumerate(q):
-            rem[k + j] -= factor * c
+        rem = [lead * c for c in rem[:k + m]]
+        for j in range(m):
+            rem[k + j] -= factor * q[j]
     return trim(quot), trim(rem)
 
 
-def monic(p: Poly) -> Poly:
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its content, with a positive leading coefficient."""
     p = trim(p)
     if not p:
         return []
-    lead = p[-1]
-    return [c / lead for c in p]
+    content = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return [c // content for c in p]
 
 
-def gcd_poly(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over the rationals (1 when coprime, [] iff both zero)."""
-    a, b = trim(p), trim(q)
+def _exact_quotient(p: list[int], q: list[int]) -> list[int]:
+    """p / q for a primitive q that divides p over the integers."""
+    quot, rem = divmod_poly(p, q)
+    # quot's top coefficient is lc(q)^d times p's, so it has d + 1 terms
+    scale = q[-1] ** len(quot)
+    if rem or any(c % scale for c in quot):
+        raise InternalInvariantError("polynomial quotient is not exact")
+    return [c // scale for c in quot]
+
+
+def gcd_poly(p: list[int], q: list[int]) -> list[int]:
+    """Primitive gcd with a positive leading coefficient, by the primitive
+    remainder sequence: [1] when coprime, [] iff both are zero."""
+    a, b = _primitive(p), _primitive(q)
     while b:
-        _, r = divmod_poly(a, b)
-        a, b = b, r
-    return monic(a)
+        a, b = b, _primitive(divmod_poly(a, b)[1])
+    return a
 
 
-def derivative(p: Poly) -> Poly:
+def derivative(p: list[int]) -> list[int]:
     return trim([k * c for k, c in enumerate(p)][1:])
 
 
-def squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun decomposition: monic squarefree factors with their multiplicities.
+def squarefree_factors(p: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's decomposition (1976) over the integers: primitive squarefree
+    factors with positive leading coefficients, and their multiplicities.
 
-    The product of factor^multiplicity equals the monic normalization of p.
+    The product of factor^multiplicity is the primitive part of p with a
+    positive leading coefficient.
     """
-    p = monic(p)
-    if degree(p) < 1:
-        return []
-    a = gcd_poly(p, derivative(p))
-    b, _ = divmod_poly(p, a)
-    c, _ = divmod_poly(derivative(p), a)
-    d = trim([x - y for x, y in _padded(c, derivative(b))])
+    b = _primitive(p)
+    d = derivative(b)
     factors = []
-    i = 1
-    while degree(b) > 0:
+    # pass 0 divides out gcd(p, p'), Yun's initial step; pass i then splits
+    # off the factor of multiplicity i
+    i = 0
+    while len(b) > 1:
         f = gcd_poly(b, d)
-        if degree(f) > 0:
+        if i and len(f) > 1:
             factors.append((f, i))
-        b, _ = divmod_poly(b, f)
-        c, _ = divmod_poly(d, f)
-        d = trim([x - y for x, y in _padded(c, derivative(b))])
+        b = _exact_quotient(b, f)
+        c = _exact_quotient(d, f)
+        d = trim([x - y for x, y in zip_longest(c, derivative(b), fillvalue=0)])
         i += 1
     return factors
-
-
-def _padded(p: Poly, q: Poly):
-    n = max(len(p), len(q))
-    return zip(p + [Fraction(0)] * (n - len(p)), q + [Fraction(0)] * (n - len(q)))
 
 
 def series_from_rational(
@@ -138,28 +132,20 @@ def series_from_rational(
     return out
 
 
-def clear_to_int_pair(num: Poly, den: Poly) -> tuple[IntPolynomial, IntPolynomial]:
-    """Jointly scale num/den to integer polynomials with content gcd 1.
+def clear_to_int_pair(
+    num: list[int], den: list[int]
+) -> tuple[IntPolynomial, IntPolynomial]:
+    """Divide num/den by the content of the pair, so the represented function
+    is unchanged and the joint content is 1.
 
-    Both are multiplied by the same rational, so the represented function is
-    unchanged; the sign is fixed so the denominator's constant term (or its
-    leading coefficient if the constant term is zero) is positive.
+    The sign is fixed so the denominator's constant term (or its leading
+    coefficient if the constant term is zero) is positive.
     """
     num, den = trim(num), trim(den)
     if not den:
         raise InputError("zero denominator")
-    denoms = [c.denominator for c in num + den]
-    scale = lcm(*denoms) if denoms else 1
-    n_int = [int(c * scale) for c in num]
-    d_int = [int(c * scale) for c in den]
-    content = 0
-    for c in n_int + d_int:
-        content = gcd(content, c)
-    if content > 1:
-        n_int = [c // content for c in n_int]
-        d_int = [c // content for c in d_int]
-    anchor = d_int[0] if d_int[0] != 0 else d_int[-1]
-    if anchor < 0:
-        n_int = [-c for c in n_int]
-        d_int = [-c for c in d_int]
-    return IntPolynomial(tuple(n_int)), IntPolynomial(tuple(d_int))
+    content = gcd(*num, *den)
+    if (den[0] or den[-1]) < 0:
+        content = -content
+    return (IntPolynomial(tuple(c // content for c in num)),
+            IntPolynomial(tuple(c // content for c in den)))

@@ -23,8 +23,10 @@ detected function is taken as coprime without a reduction, and the
 Hall-style generator solves only its prime-power constraints by CRT
 idempotents; the oracles divide every coefficient as a Fraction, divide
 the detected pair by its gcd over the rationals and fold every
-constraint in pairwise.  The property tests compare the fast paths
-against them.
+constraint in pairwise.  Polynomial gcds and squarefree factors are
+computed over the integers by pseudo-division; the oracles run Euclid and
+Yun over the rationals in Fractions.  The property tests compare the fast
+paths against them.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from pseudopoly.hankel import (
     _exact_valuation,
     _hankel_rows,
 )
-from pseudopoly.polyarith import clear_to_int_pair, degree, divmod_poly, gcd_poly, trim
+from pseudopoly.polyarith import degree, derivative, trim
 from pseudopoly.primes import sieve_primes
 
 
@@ -210,6 +212,99 @@ def detect_function(seq: ExactSequence, window: int) -> RationalFunction | None:
     return reconstruct_by_fractions(seq.terms, recurrence_denominator(coeffs))
 
 
+def mul(p: list, q: list) -> list:
+    """Schoolbook product of two coefficient lists, lowest degree first."""
+    p, q = trim(p), trim(q)
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return trim(out)
+
+
+def divmod_over_q(p: list, q: list) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of p by q over the rationals."""
+    p, q = trim([Fraction(c) for c in p]), trim([Fraction(c) for c in q])
+    if not q:
+        raise ValueError("polynomial division by zero")
+    rem = list(p)
+    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    for k in range(len(p) - len(q), -1, -1):
+        factor = rem[k + len(q) - 1] / q[-1]
+        quot[k] = factor
+        for j, c in enumerate(q):
+            rem[k + j] -= factor * c
+    return trim(quot), trim(rem)
+
+
+def monic(p: list) -> list[Fraction]:
+    p = trim(p)
+    return [Fraction(c, 1) / p[-1] for c in p] if p else []
+
+
+def gcd_over_q(p: list, q: list) -> list[Fraction]:
+    """Monic gcd by Euclid over the rationals: [1] when coprime, [] iff
+    both are zero."""
+    a, b = trim(p), trim(q)
+    while b:
+        a, b = b, divmod_over_q(a, b)[1]
+    return monic(a)
+
+
+def squarefree_over_q(p: list) -> list[tuple[list[Fraction], int]]:
+    """Yun's decomposition over the rationals: monic squarefree factors with
+    their multiplicities, whose product is the monic normalization of p."""
+    p = monic(p)
+    if degree(p) < 1:
+        return []
+
+    def minus(u, v):
+        n = max(len(u), len(v))
+        return trim([a - b for a, b in zip(u + [0] * (n - len(u)), v + [0] * (n - len(v)))])
+
+    a = gcd_over_q(p, derivative(p))
+    b, _ = divmod_over_q(p, a)
+    c, _ = divmod_over_q(derivative(p), a)
+    d = minus(c, derivative(b))
+    factors = []
+    i = 1
+    while degree(b) > 0:
+        f = gcd_over_q(b, d)
+        if degree(f) > 0:
+            factors.append((f, i))
+        b, _ = divmod_over_q(b, f)
+        c, _ = divmod_over_q(d, f)
+        d = minus(c, derivative(b))
+        i += 1
+    return factors
+
+
+def clear_fractions_to_int_pair(num: list, den: list) -> tuple[IntPolynomial, IntPolynomial]:
+    """Jointly scale a pair of rational polynomials to integer ones with
+    content gcd 1 by the lcm of their denominators, the sign fixed so that
+    the denominator's constant term (or its leading coefficient if that is
+    zero) is positive."""
+    num = trim([Fraction(c) for c in num])
+    den = trim([Fraction(c) for c in den])
+    denoms = [c.denominator for c in num + den]
+    scale = math.lcm(*denoms) if denoms else 1
+    n_int = [int(c * scale) for c in num]
+    d_int = [int(c * scale) for c in den]
+    content = 0
+    for c in n_int + d_int:
+        content = math.gcd(content, c)
+    if content > 1:
+        n_int = [c // content for c in n_int]
+        d_int = [c // content for c in d_int]
+    anchor = d_int[0] if d_int[0] != 0 else d_int[-1]
+    if anchor < 0:
+        n_int = [-c for c in n_int]
+        d_int = [-c for c in d_int]
+    return IntPolynomial(tuple(n_int)), IntPolynomial(tuple(d_int))
+
+
 def reconstruct_by_fractions(terms: tuple, den: list[int]) -> RationalFunction:
     """num/den for the integer denominator ``den`` (lowest degree first) of
     a recurrence of order len(den) - 1 that holds on all of ``terms``: the
@@ -220,13 +315,13 @@ def reconstruct_by_fractions(terms: tuple, den: list[int]) -> RationalFunction:
                 for k in range(order)])
     den = [Fraction(c) for c in den]
     if num:
-        g = gcd_poly(num, den)
+        g = gcd_over_q(num, den)
         if degree(g) > 0:
-            num, _ = divmod_poly(num, g)
-            den, _ = divmod_poly(den, g)
+            num, _ = divmod_over_q(num, g)
+            den, _ = divmod_over_q(den, g)
     else:
         den = [Fraction(1)]
-    func = RationalFunction(*clear_to_int_pair(num, den), order)
+    func = RationalFunction(*clear_fractions_to_int_pair(num, den), order)
     if func.taylor(len(terms)) != list(terms):
         raise InternalInvariantError(
             "reconstructed rational function does not reproduce the prefix"

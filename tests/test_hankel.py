@@ -399,6 +399,10 @@ class TestRationalFunction:
             RationalFunction(IntPolynomial.of([1]), IntPolynomial.of([-1, 1]), 1)
         with pytest.raises(InputError):  # common factor (1 - x)
             RationalFunction(IntPolynomial.of([1, -1]), IntPolynomial.of([1, -2, 1]), 2)
+        with pytest.raises(InputError):  # gcd(0, 1 - x) is 1 - x
+            RationalFunction(IntPolynomial.of([0]), IntPolynomial.of([1, -1]), 1)
+        zero = RationalFunction(IntPolynomial.of([0]), IntPolynomial.of([1]), 0)
+        assert zero.taylor(3) == [0, 0, 0]
 
     def test_taylor_matches_long_division(self):
         func = RationalFunction(IntPolynomial.of([0, 1]), IntPolynomial.of([1, -1, -1]), 2)

@@ -12,15 +12,17 @@ explicit binomial sums, the iterated-difference loop and synthetic
 division.  Valuations are compared with one division by p at a time, the
 report writer with json's own indent-2 encoder, its Hankel and
 congruence-violation rows with one dict per row, the integer Taylor
-expansion with one in Fractions, and the Hall-style generator with a
-pairwise CRT fold over every constraint.
+expansion with one in Fractions, the Hall-style generator with a
+pairwise CRT fold over every constraint, and the integer gcd and squarefree
+decomposition with Euclid and Yun over the rationals.
 """
 import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -32,11 +34,14 @@ from oracles import (
     det_table_by_order,
     detect_function,
     determinant_by_order,
+    gcd_over_q,
     hall_by_pairwise_crt,
     hankel_rows_as_dicts,
     hankel_table_by_order,
     invariance_by_order,
     json_dumps,
+    monic,
+    mul,
     padic_valuation_by_division,
     power_of_one_minus_x_by_division,
     rational_det,
@@ -45,6 +50,7 @@ from oracles import (
     reconstruct_by_fractions,
     series_by_fractions,
     signed_binomial_sums,
+    squarefree_over_q,
 )
 from pseudopoly import (
     ExactSequence,
@@ -65,9 +71,11 @@ from pseudopoly import (
     verify_transform_invariance,
 )
 from pseudopoly import hankel
+from pseudopoly.analytic import singular_directions
 from pseudopoly.formats import audit_json_obj, congruence_json_obj, dumps, hankel_json_obj
-from pseudopoly.hankel import HankelRecord
-from pseudopoly.polyarith import series_from_rational
+from pseudopoly.core import NumericError
+from pseudopoly.hankel import HankelRecord, RationalFunction
+from pseudopoly.polyarith import gcd_poly, series_from_rational, squarefree_factors
 from pseudopoly.sequences import CongruenceReport, Violation
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -429,6 +437,72 @@ def test_series_matches_fraction_expansion(num, d0, tail, count):
     assert [type(c) for c in series] == [
         int if c.denominator == 1 else Fraction for c in expected
     ]
+
+
+@st.composite
+def factored_polys(draw, coefficients=st.one_of(st.integers(-9, 9),
+                                                st.integers(-10**20, 10**20))):
+    """A content (zero and negative included) times a product of repeated
+    factors of degree 1 to 3, lowest degree first."""
+    poly = [draw(st.integers(-50, 50))]
+    for _ in range(draw(st.integers(0, 3))):
+        factor = draw(st.lists(coefficients, min_size=2, max_size=4)
+                      .filter(lambda f: f[-1] != 0))
+        for _ in range(draw(st.integers(1, 3))):
+            poly = mul(poly, factor)
+    return poly
+
+
+@PROPERTY
+@given(factored_polys(), factored_polys(), factored_polys())
+@example([], [], [])
+@example([1], [], [-4, 0, -2])  # gcd(0, q) is q up to a unit
+@example([3], [7], [5])
+@example([-1, 2], [-6, 0, -3], [2, -10**20])
+def test_integer_gcd_matches_euclid_over_q(common, p, q):
+    p, q = mul(common, p), mul(common, q)
+    g = gcd_poly(p, q)
+    assert monic(g) == gcd_over_q(p, q)
+    assert all(type(c) is int for c in g)
+    assert not g or (g[-1] > 0 and math.gcd(*g) == 1)
+
+
+@PROPERTY
+@given(factored_polys())
+@example([])
+@example([-6])
+@example(mul([-2], mul([1, -1], [1, -1])))
+@example(mul([3, -10**20], mul([3, -10**20], [7, 0, 5])))
+def test_integer_squarefree_matches_yun_over_q(p):
+    factors = squarefree_factors(p)
+    assert [(monic(f), m) for f, m in factors] == squarefree_over_q(p)
+    for f, _ in factors:
+        assert all(type(c) is int for c in f)
+        assert f[-1] > 0 and math.gcd(*f) == 1
+
+
+@PROPERTY
+@given(factored_polys().filter(lambda p: len(p) > 1 and p[0] != 0))
+@example(mul([1, -1, 0, -2], [1, -1, 0, -2]))  # (1 - x - 2x^3)^2
+@example([1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 3])  # leading coefficient 3
+@example([1, 2**60 + 32, 3])  # float(c) / float(3) is not c / 3 here
+def test_singular_directions_see_the_oracles_doubles(den):
+    den = [-c for c in den] if den[0] < 0 else den
+    expected = []
+    for factor, multiplicity in squarefree_over_q(den):
+        roots = np.roots(np.array([float(c) for c in reversed(factor)]))
+        expected.extend((complex(z), multiplicity) for z in roots)
+    expected.sort(key=lambda pm: (pm[0].real, pm[0].imag))
+    func = RationalFunction(IntPolynomial.of([1]), IntPolynomial.of(den), len(den) - 1)
+    try:
+        poles = singular_directions(func).poles
+    except NumericError:
+        reject()  # an ill-conditioned factor, about 1 draw in 1,000
+
+    def bits(poles):
+        return [(z.real.hex(), z.imag.hex(), m) for z, m in poles]
+
+    assert bits(poles) == bits(expected)
 
 
 @PROPERTY

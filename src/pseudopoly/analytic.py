@@ -15,8 +15,6 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .core import InputError, NumericError
 from .hankel import RationalFunction
 from .polyarith import from_int_polynomial, squarefree_factors
@@ -227,6 +225,10 @@ def estimate_transfinite_diameter(
     which leaves a slightly-low estimate of the true diameter (for m < 5
     the fit is ill-posed and the raw mean is returned).
     """
+    # Imported here, not at module level, so that commands without a
+    # root finder or this estimator start without numpy.
+    import numpy as np
+
     m = leja_points
     if m < 2:
         raise InputError("need at least 2 Leja points")
@@ -305,6 +307,10 @@ def singular_directions(function: RationalFunction) -> SingularityReport:
     principal arguments clustered at DIRECTION_TOL; the radius is the
     smallest pole modulus.
     """
+    # Imported here, not at module level: only a detected function with a
+    # pole needs it, so every other command starts without numpy.
+    import numpy as np
+
     den = function.denominator
     if den.degree < 1:
         raise InputError("denominator must have degree >= 1")

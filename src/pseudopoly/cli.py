@@ -44,6 +44,7 @@ LEJA_POINTS_LIMIT = 1024
 CANDIDATE_LIMIT = 10**6  # endpoints x discretization points per estimate
 CONGRUENCE_TERMS_LIMIT = 500  # terms; --mode full checks and may report N^2/2 pairs
 GEN_TERMS_LIMIT = 2000  # --n-max of gen; hall costs about N^3 digit operations
+TRANSFORM_TERMS_LIMIT = 1000  # terms; N^2/2 subtractions of terms up to 4,300 digits
 
 
 def _read_text(path: str) -> str:
@@ -139,7 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     transform = sub.add_parser("transform", help="binomial transform pair")
     t_sub = transform.add_subparsers(dest="direction", required=True)
     for name in ("forward", "inverse"):
-        t = t_sub.add_parser(name, parents=[seq_in])
+        t = t_sub.add_parser(
+            name, parents=[seq_in],
+            description=f"The sequence may have at most {TRANSFORM_TERMS_LIMIT} terms.",
+        )
         _add_format(t, ["lines", "json"], "lines")
 
     hankel = sub.add_parser("hankel", help="Hankel determinant audits")
@@ -251,6 +255,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_transform(args) -> int:
     seq = _read_sequence(args)
+    _check_limit("sequence length", len(seq), TRANSFORM_TERMS_LIMIT)
     out = (
         binomial_transform(seq)
         if args.direction == "forward"

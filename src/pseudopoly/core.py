@@ -6,7 +6,6 @@ approximate quantities (growth proxies, capacity estimates, root finding).
 """
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +34,8 @@ def exact_str(value: "Exact") -> str:
         if isinstance(value, Fraction):
             num = exact_str(value.numerator)
             return num if value.denominator == 1 else f"{num}/{exact_str(value.denominator)}"
+        import decimal  # only ints past the digit limit need it
+
         return str(decimal.Decimal(value))
 
 

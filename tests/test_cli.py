@@ -10,7 +10,12 @@ from pseudopoly import AuditConfig, ExactSequence, InputError, IntPolynomial
 from pseudopoly import generate_primary, ruzsa_audit
 from pseudopoly import hankel
 from pseudopoly.hankel import HankelRecord
-from pseudopoly.cli import CONGRUENCE_TERMS_LIMIT, GEN_TERMS_LIMIT, run_cli
+from pseudopoly.cli import (
+    CONGRUENCE_TERMS_LIMIT,
+    GEN_TERMS_LIMIT,
+    TRANSFORM_TERMS_LIMIT,
+    run_cli,
+)
 from pseudopoly.formats import (
     audit_json_obj,
     dumps,
@@ -190,6 +195,21 @@ class TestCheckAndTransform:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "exceeds the limit" in captured.err
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_transform_length_guard(self, direction, tmp_path, capsys):
+        ones = [1] * (TRANSFORM_TERMS_LIMIT + 1)
+        at_limit = write_sequence(tmp_path, "at.txt", ones[:-1])
+        assert run_cli(["transform", direction, "--input", at_limit]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == TRANSFORM_TERMS_LIMIT
+        over = write_sequence(tmp_path, "over.txt", ones)
+        assert run_cli(["transform", direction, "--input", over]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sequence length")
+        assert "exceeds the limit" in captured.err
+        assert run_cli(["transform", direction, "--help"]) == 0
+        assert f"at most {TRANSFORM_TERMS_LIMIT} terms" in capsys.readouterr().out
 
     def test_transform_round_trip(self, tmp_path, capsys):
         path = write_sequence(tmp_path, "seq.txt", [3, 1, 4, 1, 5])

@@ -85,20 +85,13 @@ def _cold(calls: list[tuple[list[str], str | None]]) -> dict:
 
 def _warm(argv: list[str], text: str | None) -> tuple[int, str]:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        if text is None:
+    old, sys.stdin = sys.stdin, io.StringIO(text or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = run_cli(argv)
-        else:
-            old, sys.stdin = sys.stdin, io.StringIO(text)
-            try:
-                code = run_cli(argv)
-            finally:
-                sys.stdin = old
+    finally:
+        sys.stdin = old
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
-
-
-def _lines(terms: list[int]) -> str:
-    return "\n".join(map(str, terms)) + "\n"
 
 
 def _generated(name: str) -> str:
@@ -126,12 +119,13 @@ NUMPY_FREE = [
 # A C-finite audit whose detected denominator, 1 - x - x^2, has two poles,
 # and the Leja estimator.
 ROOT_FINDERS = [
-    ("audit-json-fibonacci", ["audit", "--format", "json"], _lines(_fixed_inputs()["fibonacci"])),
+    ("audit-json-fibonacci", ["audit", "--format", "json"],
+     "".join(f"{t}\n" for t in _fixed_inputs()["fibonacci"])),
     (None, ["capacity", "estimate", "--endpoints", "1,-1"], None),
 ]
 
 
-def test_import_loads_neither_numpy_nor_decimal():
+def test_import_loads_no_numpy_and_no_decimal_of_its_own():
     result = _cold([])
     assert result["numpy_after_import"] is False
     assert not [m for m in result["decimal_importers"] if m.startswith("pseudopoly")]

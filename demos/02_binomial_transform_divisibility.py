@@ -43,7 +43,7 @@ print("=" * 70)
 print("3. Primorials and the divisibility of transforms")
 print("=" * 70)
 table = primorials(12)
-print(f"P_0..P_12  = {table.values}")
+print(f"P_0..P_12  = {table}")
 hall = generate_hall_like(13, [rng.randint(-2, 2) for _ in range(13)])
 print(f"sequence   = {list(hall)}")
 b = binomial_transform(hall)

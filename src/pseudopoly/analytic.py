@@ -28,8 +28,9 @@ RESIDUAL_TOL = 1e-9  # relative residual accepted from the root finder
 class Hedgehog:
     """Union of segments from 0 to each endpoint.
 
-    Endpoints must be nonzero with pairwise distinct arguments (within
-    DIRECTION_TOL), so the segments only meet at the origin.
+    Endpoints must be nonzero with arguments that the clustering of
+    singular directions keeps apart at DIRECTION_TOL, so the segments only
+    meet at the origin.
     """
 
     endpoints: tuple[complex, ...]
@@ -49,14 +50,11 @@ class Hedgehog:
             if math.hypot(z.real, z.imag) == math.inf:
                 raise InputError(f"hedgehog endpoint {z} has a modulus past the float range")
         args = [cmath.phase(z) for z in pts]
-        for i in range(len(args)):
-            for j in range(i + 1, len(args)):
-                d = abs(args[i] - args[j])
-                if min(d, 2 * math.pi - d) <= DIRECTION_TOL:
-                    raise InputError(
-                        f"endpoints {pts[i]} and {pts[j]} share a direction; "
-                        "segments must be disjoint away from 0"
-                    )
+        if len(_cluster_directions(args, DIRECTION_TOL)) < len(args):
+            raise InputError(
+                "two endpoints share a direction; "
+                "segments must be disjoint away from 0"
+            )
 
     @property
     def spike_count(self) -> int:

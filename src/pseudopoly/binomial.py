@@ -16,30 +16,9 @@ from .core import ExactSequence, InputError
 from .primes import sieve_flags
 
 
-def binomial_rows(n_max: int) -> list[list[int]]:
-    """Pascal-triangle rows 0..n_max, computed by the exact additive recurrence."""
-    rows = [[1]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1])
-    return rows
-
-
-@dataclass(frozen=True)
-class PrimorialTable:
-    """values[n] is the product of all primes <= n (1 for n < 2)."""
-
-    values: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-
-def primorials(n_max: int) -> PrimorialTable:
-    """Exact primorial table for 0..n_max."""
+def primorials(n_max: int) -> tuple[int, ...]:
+    """Exact primorial table: entry n is the product of all primes <= n
+    (1 for n < 2), for n = 0..n_max."""
     if n_max < 0:
         raise InputError("n_max must be >= 0")
     flags = sieve_flags(n_max)
@@ -49,7 +28,7 @@ def primorials(n_max: int) -> PrimorialTable:
         if flags[n]:
             acc *= n
         values.append(acc)
-    return PrimorialTable(tuple(values))
+    return tuple(values)
 
 
 def binomial_transform(seq: ExactSequence) -> ExactSequence:
@@ -82,18 +61,16 @@ def lower_triangular_rows(n: int) -> list[list[int]]:
 
     With 1-based indices the (i, j) entry is (-1)^(i-j) C(i-1, j-1) for
     j <= i and 0 above the diagonal.  Conjugating a Hankel matrix by this
-    matrix realizes the binomial transform on its entries.
+    matrix realizes the binomial transform on its entries.  Row i is built
+    from row i - 1 by Pascal's rule with signs: L[i][j] = L[i-1][j-1] -
+    L[i-1][j] (0-based, with L[i-1][-1] read as 0).
     """
     if n < 1:
         raise InputError("order must be >= 1")
-    pascal = binomial_rows(n - 1)
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        for j in range(i + 1):
-            c = pascal[i][j]
-            row[j] = c if (i - j) % 2 == 0 else -c
-        rows.append(row)
+    rows = [[1] + [0] * (n - 1)]
+    for i in range(1, n):
+        prev = rows[-1]
+        rows.append([-prev[0]] + [prev[j - 1] - prev[j] for j in range(1, n)])
     return rows
 
 

@@ -105,11 +105,6 @@ class ExactSequence:
         return self.terms[index]
 
     @property
-    def kind(self) -> str:
-        """``"integer"`` if every term has denominator 1, else ``"rational"``."""
-        return "integer" if self.is_integer else "rational"
-
-    @property
     def is_integer(self) -> bool:
         return all(isinstance(t, int) for t in self.terms)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd
 from typing import NamedTuple, Sequence
 
 from .binomial import binomial_transform, inverse_binomial_transform, primorials
@@ -171,35 +170,29 @@ def generate_hall_like(length: int, perturbation: Sequence[int]) -> ExactSequenc
     lcm(1..n) is the product of the largest powers q <= n of the primes up
     to n, and a solution mod each such q is one of the constraints, so x is
     the sum of a_{n-q} mod q times the CRT idempotent of q, mod lcm(1..n).
-    The idempotents change only when n is a prime power.  Every constraint
-    is checked on x, and the modulus against lcm(1..n) kept by one gcd per
-    n; a failure raises InternalInvariantError.
+    lcm(1..n) is a running lcm, which grows only when n is a power of a
+    prime p, and then by the factor p: n becomes p's largest power and the
+    idempotents are rebuilt.  Every constraint is checked on x; a failure
+    raises InternalInvariantError.
     """
     if length < 1:
         raise InputError("length must be >= 1")
     pert = [int(v) for v in perturbation]
     if len(pert) < length:
         raise InputError(f"need at least {length} perturbation entries, got {len(pert)}")
-    prime_of = {}  # every prime power below length -> its prime
-    for p in sieve_primes(length - 1):
-        q = p
-        while q < length:
-            prime_of[q], q = p, q * p
     largest = {}  # prime -> its largest power <= n
-    modulus = expected = 1
+    modulus = 1
     idempotents = []  # (q, e) with e = 1 (mod q) and e = 0 mod lcm(1..n) / q
     a = [pert[0]]
     for n in range(1, length):
-        expected = expected // gcd(expected, n) * n
-        if n in prime_of:
-            largest[prime_of[n]] = n
-            modulus = math.prod(largest.values())
+        grown = math.lcm(modulus, n)
+        if grown != modulus:
+            largest[grown // modulus] = n
+            modulus = grown
             idempotents = []
             for q in largest.values():
                 cofactor = modulus // q
                 idempotents.append((q, cofactor * pow(cofactor, -1, q)))
-        if modulus != expected:
-            raise InternalInvariantError("combined modulus is not lcm(1..n)")
         x = sum(a[n - q] % q * e for q, e in idempotents) % modulus
         bad = next((k for k in range(1, n + 1) if (x - a[n - k]) % k), None)
         if bad is not None:

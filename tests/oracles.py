@@ -25,8 +25,9 @@ idempotents; the oracles divide every coefficient as a Fraction, divide
 the detected pair by its gcd over the rationals and fold every
 constraint in pairwise.  Polynomial gcds and squarefree factors are
 computed over the integers by pseudo-division; the oracles run Euclid and
-Yun over the rationals in Fractions.  The property tests compare the fast
-paths against them.
+Yun over the rationals in Fractions.  A hedgehog rejects endpoints whose
+arguments the direction clustering merges; the oracle compares every pair
+of arguments.  The property tests compare the fast paths against them.
 """
 from __future__ import annotations
 
@@ -545,6 +546,17 @@ def hall_by_pairwise_crt(length: int, perturbation: list[int]) -> list[int]:
             raise InternalInvariantError("combined modulus is not lcm(1..n)")
         a.append(x + perturbation[n] * modulus)
     return a
+
+
+def shares_direction_pairwise(args: list[float], tol: float) -> bool:
+    """Whether two of the arguments lie within ``tol`` of each other on the
+    circle, comparing every pair with the distance taken both ways round."""
+    for i in range(len(args)):
+        for j in range(i + 1, len(args)):
+            d = abs(args[i] - args[j])
+            if min(d, 2 * math.pi - d) <= tol:
+                return True
+    return False
 
 
 def series_by_fractions(num: list, den: list, count: int) -> list[Fraction]:

@@ -132,7 +132,7 @@ def test_vandermonde_convolution_identity():
 
 class TestPrimorials:
     def test_small_table(self):
-        assert primorials(5).values == (1, 1, 2, 6, 6, 30)
+        assert primorials(5) == (1, 1, 2, 6, 6, 30)
 
     def test_empty_product(self):
         assert primorials(0)[0] == 1

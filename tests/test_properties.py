@@ -13,9 +13,12 @@ division.  Valuations are compared with one division by p at a time, the
 report writer with json's own indent-2 encoder, its Hankel and
 congruence-violation rows with one dict per row, the integer Taylor
 expansion with one in Fractions, the Hall-style generator with a
-pairwise CRT fold over every constraint, and the integer gcd and squarefree
-decomposition with Euclid and Yun over the rationals.
+pairwise CRT fold over every constraint, the integer gcd and squarefree
+decomposition with Euclid and Yun over the rationals, and the hedgehog's
+shared-direction rule (argument clustering) with a comparison of every pair
+of arguments.
 """
+import cmath
 import dataclasses
 import math
 from fractions import Fraction
@@ -49,11 +52,15 @@ from oracles import (
     recurrence_denominator,
     reconstruct_by_fractions,
     series_by_fractions,
+    shares_direction_pairwise,
     signed_binomial_sums,
     squarefree_over_q,
 )
 from pseudopoly import (
+    DIRECTION_TOL,
     ExactSequence,
+    Hedgehog,
+    InputError,
     IntPolynomial,
     binomial_transform,
     detect_rationality,
@@ -71,7 +78,7 @@ from pseudopoly import (
     verify_transform_invariance,
 )
 from pseudopoly import hankel
-from pseudopoly.analytic import singular_directions
+from pseudopoly.analytic import _cluster_directions, singular_directions
 from pseudopoly.formats import audit_json_obj, congruence_json_obj, dumps, hankel_json_obj
 from pseudopoly.core import NumericError
 from pseudopoly.hankel import HankelRecord, RationalFunction
@@ -511,10 +518,48 @@ def test_singular_directions_see_the_oracles_doubles(den):
 ))
 @example([0] * 80)
 @example([5])
+# the running lcm grows, and the idempotents are rebuilt, at the prime
+# powers 121 = 11^2, 125 = 5^3 and 128 = 2^7
+@example([n % 11 - 5 for n in range(130)])
 def test_hall_matches_pairwise_crt(perturbation):
     length = len(perturbation)
     expected = hall_by_pairwise_crt(length, perturbation)
     assert list(generate_hall_like(length, perturbation)) == expected
+
+
+@st.composite
+def near_directions(draw):
+    """2-4 arguments near 0 or near -pi and pi, each offset from its base by
+    0, +-1/2, +-1 or +-2 times DIRECTION_TOL and then perhaps moved one ulp,
+    so that pairs fall on both sides of the tolerance, across the cut at
+    -pi/pi too."""
+    offsets = [k * DIRECTION_TOL for k in (0, 0.5, -0.5, 1, -1, 2, -2)]
+    args = []
+    for _ in range(draw(st.integers(2, 4))):
+        base = draw(st.sampled_from([0.0, math.pi, -math.pi]))
+        arg = base + draw(st.sampled_from(offsets))
+        arg = draw(st.sampled_from([arg, math.nextafter(arg, 4), math.nextafter(arg, -4)]))
+        args.append(min(max(arg, -math.pi), math.pi))
+    return args
+
+
+@PROPERTY
+@given(near_directions(), st.sampled_from([1.0, 2.5, 1e-3]))
+@example([0.0, DIRECTION_TOL], 1.0)
+@example([0.0, math.nextafter(DIRECTION_TOL, 1)], 1.0)
+@example([math.pi - DIRECTION_TOL / 2, -math.pi + DIRECTION_TOL / 2], 1.0)
+@example([0.0, DIRECTION_TOL, 2 * DIRECTION_TOL], 1.0)
+def test_hedgehog_direction_rule_matches_pairwise(args, modulus):
+    assert (
+        len(_cluster_directions(args, DIRECTION_TOL)) < len(args)
+    ) == shares_direction_pairwise(args, DIRECTION_TOL)
+    endpoints = [cmath.rect(modulus, a) for a in args]
+    phases = [cmath.phase(z) for z in endpoints]
+    if shares_direction_pairwise(phases, DIRECTION_TOL):
+        with pytest.raises(InputError, match="share a direction"):
+            Hedgehog(endpoints)
+    else:
+        assert Hedgehog(endpoints).spike_count == len(args)
 
 
 class IntSubclass(int):

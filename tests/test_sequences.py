@@ -210,10 +210,11 @@ class TestGenerateHallLike:
             generate_hall_like(6, [1, 0, 0, 0, 0, 0])
 
     def test_wrong_modulus_is_an_internal_error(self, monkeypatch):
-        # without the prime 3 the modulus stops being lcm(1..n) at n = 3
-        monkeypatch.setattr(sequences, "sieve_primes", lambda n: [2, 5])
-        with pytest.raises(InternalInvariantError, match="lcm"):
-            generate_hall_like(6, [0] * 6)
+        # a running lcm stuck at 1 solves no constraint, so a_0 = 1 is
+        # missed mod 2 at n = 2
+        monkeypatch.setattr(sequences.math, "lcm", lambda *args: 1)
+        with pytest.raises(InternalInvariantError, match="constraint"):
+            generate_hall_like(6, [1, 0, 0, 0, 0, 0])
 
 
 def test_growth_of_hall_sequences_is_finite():

@@ -1,11 +1,11 @@
 """End-to-end audit pipeline for integer sequences.
 
 Stages, in order: primary congruence check, growth estimate against a
-configurable bound, Hankel determinant table with the primorial-power
-divisibility audit, rationality detection, and (when rational) singular
-directions, the power-of-(1-x) denominator test, and the polynomiality
-certificate.  Every report carries its evidence tables, never a bare
-verdict.
+configurable bound, rationality detection at every order, the Hankel
+table up to n_max with the primorial divisibility audit, and (when
+rational) singular directions, the power-of-(1-x) denominator test and,
+for a congruent prefix with such a denominator, the polynomiality
+certificate.  Every report carries its evidence tables, never a bare verdict.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .analytic import SingularityReport, singular_directions
 from .core import ExactSequence, InputError, InternalInvariantError, IntPolynomial
 from .hankel import (
+    DEFAULT_WINDOW,
     HankelRecord,
     RationalFunction,
     RationalityDetection,
@@ -46,7 +47,7 @@ VERDICT_CONGRUENCE_VIOLATION = "congruence_violation"
 @dataclass(frozen=True)
 class AuditConfig:
     growth_bound: float = math.e
-    window: int = 3
+    window: int = DEFAULT_WINDOW
     n_max: int | None = None  # Hankel orders; defaults to all observable
 
     def __post_init__(self):
@@ -107,6 +108,8 @@ def ruzsa_audit(seq: ExactSequence, config: AuditConfig | None = None) -> AuditR
     congruence = check_congruences(seq, "primary")
     growth = growth_rate(seq)
     growth_below_bound = growth.tail_sup < cfg.growth_bound
+    # the table reads the remainder sequence this ran at the largest order
+    detection = detect_rationality(seq, cfg.window)
 
     n_max = cfg.n_max if cfg.n_max is not None else max_order(seq)
     records = tuple(hankel_table(seq, n_max))
@@ -119,27 +122,21 @@ def ruzsa_audit(seq: ExactSequence, config: AuditConfig | None = None) -> AuditR
                 "proved divisibility property and indicates a bug"
             )
 
-    detection = detect_rationality(seq, cfg.window)
-
-    singularities = None
-    power_of_one_minus_x = None
-    degree = None
-    if detection.function is not None:
-        func: RationalFunction = detection.function
+    singularities = power_of_one_minus_x = degree = None
+    func: RationalFunction | None = detection.function
+    if func is not None:
         if func.denominator.degree >= 1:
             singularities = singular_directions(func)
         power_of_one_minus_x = is_power_of_one_minus_x(func.denominator)
-        degree = polynomial_certificate(seq)
+        if power_of_one_minus_x and congruence.ok:
+            degree = polynomial_certificate(seq)
 
     if not congruence.ok:
         verdict = VERDICT_CONGRUENCE_VIOLATION
-        degree = None
-    elif detection.function is not None:
-        if power_of_one_minus_x and degree is not None:
-            verdict = VERDICT_POLYNOMIAL
-        else:
-            verdict = VERDICT_RATIONAL_NON_POLYNOMIAL
-            degree = None
+    elif degree is not None:
+        verdict = VERDICT_POLYNOMIAL
+    elif func is not None:
+        verdict = VERDICT_RATIONAL_NON_POLYNOMIAL
     else:
         verdict = VERDICT_UNDETERMINED
 

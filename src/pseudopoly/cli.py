@@ -21,6 +21,7 @@ from .audit import AuditConfig, VERDICT_CONGRUENCE_VIOLATION, ruzsa_audit
 from .binomial import binomial_transform, inverse_binomial_transform
 from .core import ExactSequence, InputError, InternalInvariantError, NumericError
 from .hankel import (
+    DEFAULT_WINDOW,
     detect_rationality,
     hankel_table,
     max_order,
@@ -161,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     rational = sub.add_parser("rational", help="rationality detection")
     r_sub = rational.add_subparsers(dest="action", required=True)
     r_detect = r_sub.add_parser("detect", parents=[seq_in])
-    r_detect.add_argument("--window", type=int, default=3)
+    r_detect.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     _add_format(r_detect, ["json", "csv"], "json")
 
     theta = sub.add_parser("theta", help="Chebyshev theta tables")
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(cap_est, ["json"], "json")
 
     audit = sub.add_parser("audit", parents=[seq_in], help="full pipeline")
-    audit.add_argument("--window", type=int, default=3)
+    audit.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     audit.add_argument("--growth-bound", type=float, default=None)
     audit.add_argument("--n-max", type=int, default=None)
     _add_format(audit, ["json", "csv"], "json")

@@ -4,19 +4,19 @@ reconstruction.
 
 The determinant of the order-n Hankel matrix of an integer sequence is an
 integer, and for congruence-preserving sequences it is divisible by the
-product over primes p <= n-1 of p^(n-p).  Every det H_k of a prefix comes
-from one subresultant pseudo-remainder sequence of x^(2n) and the prefix's
-generating polynomial, truncated to the coefficients the prefix decides: a
-zero minor is a degree jump of that sequence, not a special case.  A
-rational prefix is first scaled by the lcm D of its denominators, since
-det H_n(a) = det H_n(D a) / D^n.
+product P_0 P_1 ... P_(n-1) of the primorials below n.  Every det H_k of a
+prefix comes from one subresultant pseudo-remainder sequence of x^(2n) and
+the prefix's generating polynomial, truncated to the coefficients the
+prefix decides: a zero minor is a degree jump of that sequence, not a
+special case.  A rational prefix is first scaled by the lcm D of its
+denominators, since det H_n(a) = det H_n(D a) / D^n.
 
 A one-slot memo holds everything one remainder sequence of the last
 sequence (compared by identity) gives: its cleared terms D a, the scale D,
 the minors and the recurrence denominator.  A caller that asks for the
-orders from the top down pays one remainder sequence per prefix; the
-table, the detection and the audit all ask that way, so an audit runs it
-once.
+orders from the top down pays one remainder sequence per prefix.  An audit
+runs the detection, which asks at the largest order, before its table,
+which reads the same entry at any n_max, so it runs the sequence once.
 
 Rationality detection uses the classical criterion that a power series is
 rational iff almost all of its Hankel determinants vanish (Kronecker 1881),
@@ -25,10 +25,10 @@ made finite by a trailing zero-window rule.  Only a prefix whose last
 remainder sequence gives it: the cofactor of the prefix polynomial in the
 remainder that vanishes has the order L of the last nonzero minor, and since
 det H_L != 0 it is the unique solution of H_L c = (a_L .. a_(2L-1))
-(Jonckheere and Ma 1989).  It is used only when N >= 2L + window, and it
-is checked on every term in integers.  Being the shortest recurrence, it
-makes numerator and denominator coprime, so the detected function is not
-reduced again.
+(Jonckheere and Ma 1989).  A zero window gives N >= 2L + window, and the
+recurrence is checked on every term in integers.  Being the shortest
+recurrence, it makes numerator and denominator coprime, so the detected
+function is not reduced again.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .binomial import binomial_transform, lower_triangular_rows
+from .binomial import binomial_transform, lower_triangular_rows, primorials
 from .core import (
     Exact,
     ExactSequence,
@@ -57,6 +57,8 @@ from .polyarith import (
     trim,
 )
 from .primes import is_prime, sieve_primes
+
+DEFAULT_WINDOW = 3  # trailing zero minors that detection asks for
 
 
 @dataclass(frozen=True)
@@ -265,11 +267,20 @@ def padic_valuation(x: int, p: int) -> int | float:
         raise InputError(f"{p} is not prime")
     if isinstance(x, bool) or not isinstance(x, int):
         raise InputError("valuation is defined for exact integers")
-    if x == 0:
+    return _exact_valuation(x, p)
+
+
+def _exact_valuation(value: Exact, p: int) -> int | float:
+    """padic_valuation of an int or a Fraction, for a p known to be prime."""
+    if value == 0:
         return math.inf
+    if isinstance(value, Fraction):
+        return _exact_valuation(value.numerator, p) - _exact_valuation(
+            value.denominator, p
+        )
     # Divide by p, p^2, p^4, ... while each divides, then try the same
     # powers from the largest down: a valuation v costs O(log v) divisions.
-    x = abs(x)
+    x = abs(value)
     v = 0
     climbed = []  # (p^step, step) for each division on the way up
     power, step = p, 1
@@ -287,16 +298,6 @@ def padic_valuation(x: int, p: int) -> int | float:
     return v
 
 
-def _exact_valuation(value: Exact, p: int) -> int | float:
-    if value == 0:
-        return math.inf
-    if isinstance(value, Fraction):
-        return padic_valuation(value.numerator, p) - padic_valuation(
-            value.denominator, p
-        )
-    return padic_valuation(value, p)
-
-
 def _determinants(seq: ExactSequence, n_max: int) -> list[Exact]:
     """det H_1 .. det H_n_max, asked for from the top order down so that
     one remainder sequence serves them all."""
@@ -309,8 +310,8 @@ def max_order(seq: ExactSequence) -> int:
 
 
 def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
-    """Audit rows for orders 1..n_max: determinant, required primorial-power
-    divisor, per-prime valuations, and normalized growth |det|^(1/n^2)."""
+    """Audit rows for orders 1..n_max: determinant, required divisor P_0 ...
+    P_(n-1), per-prime valuations, and normalized growth |det|^(1/n^2)."""
     if n_max < 0:
         raise InputError("n_max must be >= 0")
     if n_max > max_order(seq):
@@ -318,20 +319,17 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
             f"order {n_max} needs a prefix of length {2 * n_max - 1}, have {len(seq)}"
         )
     small_primes = sieve_primes(max(0, n_max - 1))
+    primorial = primorials(max(0, n_max - 1))
+    required_divisor = 1
     records = []
     for n, det in enumerate(_determinants(seq, n_max), start=1):
-        required_divisor = 1
+        required_divisor *= primorial[n - 1]
         valuations = []
-        divisible = True
         for p in small_primes:
             if p > n - 1:
                 break
-            required = n - p
-            required_divisor *= p**required
-            actual = _exact_valuation(det, p)
-            valuations.append((p, required, actual))
-            if actual < required:
-                divisible = False
+            valuations.append((p, n - p, _exact_valuation(det, p)))
+        divisible = all(actual >= required for _, required, actual in valuations)
         growth = None if det == 0 else math.exp(log_abs_exact(det) / (n * n))
         records.append(
             HankelRecord(n, det, required_divisor, tuple(valuations), divisible, growth)
@@ -430,24 +428,26 @@ def _reconstruct(
     return func
 
 
-def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetection:
+def detect_rationality(
+    seq: ExactSequence, window: int = DEFAULT_WINDOW
+) -> RationalityDetection:
     """Decide, from a finite prefix, whether the sequence looks rational.
 
-    The decision rule: the minimal constant-coefficient recurrence that
-    fits the entire prefix must have an order r with 2r + window <= N, and
-    the Hankel determinants must vanish for the last ``window`` observable
-    orders.  The determinants are checked first, and only a zero window
-    leads on to the recurrence: the integer denominator, of the order r of
-    the last nonzero minor, that the remainder sequence of the
-    denominator-cleared prefix gave along with the determinants.  It is
-    checked on every term in integers.  The remainder sequence proves it on
-    the terms the minors read, so a miss there is an InternalInvariantError;
-    a miss at the last term of an even-length prefix, which no minor reads,
-    means that no recurrence of order r fits, and the prefix is not
-    detected.  On success the recurrence is turned into a numerator /
-    denominator pair that is re-expanded and checked against the prefix
-    exactly.  Absence of detection is a normal outcome; the determinant
-    evidence is returned either way.
+    The decision rule: the Hankel determinants must vanish for the last
+    ``window`` observable orders, and the minimal constant-coefficient
+    recurrence must fit the entire prefix.  The determinants are checked
+    first, and only a zero window leads on to the recurrence: the integer
+    denominator, of the order r of the last nonzero minor, that the
+    remainder sequence of the denominator-cleared prefix gave along with
+    the determinants.  It is checked on every term in integers.  The
+    remainder sequence proves it on the terms the minors read, so a miss
+    there is an InternalInvariantError; a miss at the last term of an
+    even-length prefix, which no minor reads, means that no recurrence of
+    order r fits, and the prefix is not detected.  On success the
+    recurrence is turned into a numerator / denominator pair that is
+    re-expanded and checked against the prefix exactly.  Absence of
+    detection is a normal outcome; the determinant evidence is returned
+    either way.
     """
     if window < 1:
         raise InputError("window must be >= 1")
@@ -458,13 +458,9 @@ def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetect
         )
     n = max_order(seq)
     det_table = tuple(_determinants(seq, n))
-    zero_run = 0
-    for d in reversed(det_table):
-        if d != 0:
-            break
-        zero_run += 1
+    zero_run = next((i for i, d in enumerate(reversed(det_table)) if d), n)
     function = None
-    if all(d == 0 for d in det_table[-window:]):
+    if zero_run >= window:
         _, values, scale, _, den = _remainder_sequence(seq, n)
         if den is not None:
             order = len(den) - 1
@@ -474,6 +470,7 @@ def detect_rationality(seq: ExactSequence, window: int = 3) -> RationalityDetect
                 raise InternalInvariantError(
                     "the remainder sequence's recurrence does not reproduce the prefix"
                 )
-            if miss == n_terms and 2 * order + window <= n_terms:
+            # order = n - zero_run, so 2 * order + window <= 2n - 1 <= N
+            if miss == n_terms:
                 function = _reconstruct(seq.terms, values, scale or 1, den)
     return RationalityDetection(function, det_table, zero_run, window)

@@ -27,7 +27,12 @@ constraint in pairwise.  Polynomial gcds and squarefree factors are
 computed over the integers by pseudo-division; the oracles run Euclid and
 Yun over the rationals in Fractions.  A hedgehog rejects endpoints whose
 arguments the direction clustering merges; the oracle compares every pair
-of arguments.  The property tests compare the fast paths against them.
+of arguments.  The audit runs its detection before its table, building the
+table's divisors from the primorials, and certifies polynomiality only
+where its verdict reads the certificate; the oracles build each divisor
+from prime powers and run the stages in their earlier order, with the
+certificate for every detected function.  The property tests compare the
+fast paths against them.
 """
 from __future__ import annotations
 
@@ -36,7 +41,20 @@ import math
 import operator
 from fractions import Fraction
 
-from pseudopoly import ExactSequence, InternalInvariantError, max_order
+from pseudopoly import (
+    VERDICT_CONGRUENCE_VIOLATION,
+    VERDICT_POLYNOMIAL,
+    VERDICT_RATIONAL_NON_POLYNOMIAL,
+    VERDICT_UNDETERMINED,
+    ExactSequence,
+    InternalInvariantError,
+    check_congruences,
+    detect_rationality,
+    hankel_table,
+    is_power_of_one_minus_x,
+    max_order,
+    polynomial_certificate,
+)
 from pseudopoly import formats, hankel
 from pseudopoly.core import IntPolynomial, exact_str, log_abs_exact
 from pseudopoly.hankel import (
@@ -423,6 +441,29 @@ def certificate_by_differences(terms: list) -> int | None:
         if all(x == 0 for x in diffs):
             return d
     return None
+
+
+def audit_verdict_by_stages(seq: ExactSequence) -> tuple[str, int | None]:
+    """``ruzsa_audit``'s (verdict, degree) with the default config, from its
+    stages in their earlier order: the Hankel table before the detection,
+    and the polynomiality certificate for every detected function, dropped
+    again by the verdicts that do not report it."""
+    congruence = check_congruences(seq, "primary")
+    records = hankel_table(seq, max_order(seq))
+    if congruence.ok and not all(r.divisible for r in records):
+        raise InternalInvariantError("congruent prefix with a non-divisible minor")
+    function = detect_rationality(seq).function
+    power_of_one_minus_x = degree = None
+    if function is not None:
+        power_of_one_minus_x = is_power_of_one_minus_x(function.denominator)
+        degree = polynomial_certificate(seq)
+    if not congruence.ok:
+        return VERDICT_CONGRUENCE_VIOLATION, None
+    if function is not None:
+        if power_of_one_minus_x and degree is not None:
+            return VERDICT_POLYNOMIAL, degree
+        return VERDICT_RATIONAL_NON_POLYNOMIAL, None
+    return VERDICT_UNDETERMINED, None
 
 
 def power_of_one_minus_x_by_division(coefficients: tuple[int, ...]) -> bool:

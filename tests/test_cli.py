@@ -356,6 +356,23 @@ class TestAuditCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    def test_n_max_trims_only_the_table(self, tmp_path, capsys):
+        terms = [n**3 - 7 * n + 2 for n in range(40)]
+        path = write_sequence(tmp_path, "cubic.txt", terms)
+        assert run_cli(["audit", "--input", path, "--n-max", "5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [row["n"] for row in report["hankel"]] == [1, 2, 3, 4, 5]
+        assert len(report["rationality"]["det_table"]) == 20
+        assert report["config"]["n_max"] == 5
+        assert report["verdict"] == "polynomial"
+
+    def test_n_max_past_the_largest_order_is_input_error(self, tmp_path, capsys):
+        path = write_sequence(tmp_path, "cubic.txt", [n**3 - 7 * n + 2 for n in range(40)])
+        assert run_cli(["audit", "--input", path, "--n-max", "21"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_byte_identical_reports(self, tmp_path, capsys):
         path = write_sequence(tmp_path, "seq.txt", [n * n for n in range(16)])
         assert run_cli(["audit", "--input", path]) == 0

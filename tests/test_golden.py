@@ -8,6 +8,7 @@ current values, run ``PYTHONPATH=src python tests/test_golden.py``.
 import contextlib
 import hashlib
 import io
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -48,6 +49,8 @@ def _fixed_inputs() -> dict[str, list[int]]:
         "octic": [n**8 - 5 * n**3 + 2 for n in range(40)],
         "cfinite12": cfinite12,
         "square": [sum(base[i] * base[n - i] for i in range(n + 1)) for n in range(40)],
+        "shifted-line": [2310] + list(range(1, 12)),
+        "triangular": [math.comb(n, 2) for n in range(20)],
     }
 
 
@@ -76,12 +79,22 @@ LARGE_DENOMINATORS = [
     (f"audit-json-{name}", name, COMMANDS["audit-json"])
     for name in ("octic", "cfinite12", "square")
 ]
+# An audit whose table stops below the largest order, and two audits whose
+# denominators are powers of (1 - x) without a polynomial verdict: (1 - x)^2
+# with no certificate (a_0 moved off the line by 2310 = P_11), and (1 - x)^3
+# for C(n, 2), which breaks the congruences.
+SHORT_TABLES = [
+    ("audit-json-cubic-n-max-5", "cubic", COMMANDS["audit-json"] + ["--n-max", "5"]),
+    ("audit-json-shifted-line", "shifted-line", COMMANDS["audit-json"]),
+    ("audit-json-triangular", "triangular", COMMANDS["audit-json"]),
+]
 CASES = (
     [(f"gen-{name}", None, GENERATED[name]) for name in ("primary", "hall")]
     + [(f"{cmd}-{inp}", inp, argv) for cmd, argv in COMMANDS.items() for inp in INPUTS]
     + [("theta-300", None, ["theta", "table", "--n-max", "300"])]
     + ROW_HEAVY
     + LARGE_DENOMINATORS
+    + SHORT_TABLES
 )
 
 # (exit code, sha256 of stdout), recorded before the forward-difference and
@@ -133,6 +146,10 @@ GOLDEN = {
     "audit-json-octic": (0, "1a1b47eeb12520998bdef06b6c780962e8df4f1a37e8d0fc5aaffcba728b5b8a"),
     "audit-json-cfinite12": (1, "5ac8a588e3c6ef6ebd079874e6d121935ac4d987331c84a482eab9b0ad1803c2"),
     "audit-json-square": (1, "1c4488c9ed66a6ebba6dc53436324982047229dd3ec75335fe8006ec9d86892e"),
+    # recorded before the audit ran its detection ahead of its table
+    "audit-json-cubic-n-max-5": (0, "4cc6535e22f2d1c87d87137958f4d3433e113e7422d2b4dc93059c43973b23d7"),
+    "audit-json-shifted-line": (0, "d22e194bee1c7fdab56f903baf393347a37eb75a3208444335a55f112cadfad1"),
+    "audit-json-triangular": (1, "a5d14485e402aea196cb4e9a2a482e8e915b1a482de1af0858bf26899ae4cd1c"),
 }
 
 

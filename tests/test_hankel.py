@@ -7,6 +7,7 @@ import pytest
 
 from oracles import matmul, transpose, valuation_map
 from pseudopoly import (
+    AuditConfig,
     ExactSequence,
     InputError,
     IntPolynomial,
@@ -37,6 +38,7 @@ def fibonacci(count):
 
 
 CUBIC_40 = [n**3 - 7 * n + 2 for n in range(40)]
+PRIMARY_40 = list(generate_primary([k % 7 - 3 for k in range(40)], 40))
 
 
 def times_one_minus_x(leading_minors):
@@ -359,6 +361,23 @@ class TestDetectRationality:
         assert report.rationality.function is not None
         assert runs == [20]
         assert len(gcds) == 1
+
+    @pytest.mark.parametrize("n_max", [5, 19], ids=["5", "below-top"])
+    @pytest.mark.parametrize(
+        "terms", [CUBIC_40, fibonacci(40), PRIMARY_40], ids=["cubic", "fibonacci", "primary"]
+    )
+    def test_audit_runs_one_remainder_sequence_at_any_n_max(self, terms, n_max, monkeypatch):
+        # the detection runs it at the largest order first, and the table
+        # reads that run however far n_max trims it
+        runs = []
+        leading_minors = hankel._leading_minors
+        monkeypatch.setattr(hankel, "_leading_minors",
+                            lambda values, n: runs.append(n) or leading_minors(values, n))
+        seq = ExactSequence.of(terms)
+        report = ruzsa_audit(seq, AuditConfig(n_max=n_max))
+        assert runs == [max_order(seq)] == [20]
+        assert len(report.hankel) == n_max
+        assert len(report.rationality.det_table) == 20
 
     @pytest.mark.parametrize("terms", [CUBIC_40, fibonacci(40)], ids=["cubic", "fibonacci"])
     def test_recurrence_with_a_common_factor_is_an_internal_error(self, terms, monkeypatch):

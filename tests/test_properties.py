@@ -16,11 +16,13 @@ expansion with one in Fractions, the Hall-style generator with a
 pairwise CRT fold over every constraint, the integer gcd and squarefree
 decomposition with Euclid and Yun over the rationals, and the hedgehog's
 shared-direction rule (argument clustering) with a comparison of every pair
-of arguments.
+of arguments, and the audit's verdict and degree with its stages run in
+their earlier order, the certificate computed for every detected function.
 """
 import cmath
 import dataclasses
 import math
+from math import comb
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +32,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     audit_as_dict,
+    audit_verdict_by_stages,
     berlekamp_massey,
     binomial_sums,
     certificate_by_differences,
@@ -74,6 +77,7 @@ from pseudopoly import (
     max_order,
     padic_valuation,
     polynomial_certificate,
+    primorials,
     ruzsa_audit,
     verify_transform_invariance,
 )
@@ -662,3 +666,32 @@ def test_row_writers_match_dict_rows(records, congruence):
 def test_audit_report_matches_dict_rows(terms):
     report = ruzsa_audit(ExactSequence.of(terms))
     assert dumps(audit_json_obj(report)) == json_dumps(audit_as_dict(report))
+
+
+@st.composite
+def integer_valued_polynomials(draw):
+    """sum_k c_k C(n, k) for n < N, which breaks the congruences unless every
+    c_k is a multiple of the primorial P_k; a_0 may then be moved by a
+    multiple of P_(N-1), which keeps them and removes the certificate."""
+    length = draw(st.integers(10, 24))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        coeffs = [c * p for c, p in zip(coeffs, primorials(len(coeffs)))]
+    terms = [sum(c * comb(n, k) for k, c in enumerate(coeffs)) for n in range(length)]
+    terms[0] += draw(st.sampled_from([0, 0, 1, -2])) * primorials(length - 1)[-1]
+    return terms
+
+
+@PROPERTY
+@given(st.one_of(
+    integer_valued_polynomials(),
+    c_finite(st.integers(-3, 3)).filter(lambda terms: len(terms) >= 10),
+    primary_or_hall(),
+    st.lists(small_ints, min_size=10, max_size=22),
+))
+@example([2310] + list(range(1, 12)))  # (1 - x)^2 and no certificate
+@example([comb(n, 2) for n in range(20)])  # (1 - x)^3, not congruent
+@example([comb(n, 3) * 30 for n in range(12)])  # congruent cubic, N = 2 * 4 + 4
+def test_audit_verdict_matches_earlier_stage_order(terms):
+    report = ruzsa_audit(ExactSequence.of(terms))
+    assert (report.verdict, report.degree) == audit_verdict_by_stages(ExactSequence.of(terms))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import reprlib
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -53,6 +54,8 @@ def _parse_json_integers(text: str, what: str, not_array: str, entries: str) -> 
         raise InputError(f"bad JSON {what}: {exc}") from exc
     except ValueError as exc:  # a bare integer literal past the digit limit
         raise _digit_limit(f"an integer literal in the JSON {what}") from exc
+    except RecursionError as exc:
+        raise InputError(f"bad JSON {what}: arrays or objects nested too deeply") from exc
     if not isinstance(data, list):
         raise InputError(not_array)
     values = []
@@ -60,12 +63,12 @@ def _parse_json_integers(text: str, what: str, not_array: str, entries: str) -> 
         if isinstance(v, str):
             value = _decimal(v)
             if value is None:
-                raise InputError(f"not a decimal integer string: {v!r}")
+                raise InputError(f"not a decimal integer string: {reprlib.repr(v)}")
             values.append(value)
         elif isinstance(v, int) and not isinstance(v, bool):
             values.append(v)
         else:
-            raise InputError(f"{entries} must be decimal strings, got {v!r}")
+            raise InputError(f"{entries} must be decimal strings, got {reprlib.repr(v)}")
     return values
 
 

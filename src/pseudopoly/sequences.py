@@ -8,7 +8,9 @@ reports record the checked range.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .binomial import binomial_transform, inverse_binomial_transform, primorials
@@ -163,16 +165,14 @@ def generate_hall_like(length: int, perturbation: Sequence[int]) -> ExactSequenc
 
     Term n is the smallest nonnegative solution mod lcm(1..n) of
     x = a_{n-k} (mod k) for k = 1..n, shifted by perturbation[n] * lcm(1..n).
-    The system is consistent because the prefix already preserves
-    congruences, so the result passes the full congruence check by
-    construction.
-
-    lcm(1..n) is the product of the largest powers q <= n of the primes up
-    to n, and a solution mod each such q is one of the constraints, so x is
-    the sum of a_{n-q} mod q times the CRT idempotent of q, mod lcm(1..n).
-    lcm(1..n) is a running lcm, which grows only when n is a power of a
-    prime p, and then by the factor p: n becomes p's largest power and the
-    idempotents are rebuilt.  Every constraint is checked on x; a failure
+    A prefix preserves congruences iff lcm(1..k) divides its k-th forward
+    difference D^k a_0 for every k, so on such a prefix the constraints say
+    that lcm(1..n) divides D^n a_0 = x - sum(diag), where diag = [D^0 a_{n-1},
+    D^1 a_{n-2}, ..., D^{n-1} a_0] is the last antidiagonal of the difference
+    table: x is sum(diag) mod lcm(1..n), and the next antidiagonal is the
+    running differences of diag from a_n.  lcm(1..n) is a running lcm,
+    checked to be a multiple of n and of the previous modulus; lcm(1..k) |
+    D^k a_0 is then checked on the output for every k.  A failed check
     raises InternalInvariantError.
     """
     if length < 1:
@@ -180,24 +180,20 @@ def generate_hall_like(length: int, perturbation: Sequence[int]) -> ExactSequenc
     pert = [int(v) for v in perturbation]
     if len(pert) < length:
         raise InputError(f"need at least {length} perturbation entries, got {len(pert)}")
-    largest = {}  # prime -> its largest power <= n
-    modulus = 1
-    idempotents = []  # (q, e) with e = 1 (mod q) and e = 0 mod lcm(1..n) / q
+    moduli = [1]  # lcm(1..n) for n = 0..length-1
     a = [pert[0]]
+    diag = [pert[0]]
     for n in range(1, length):
-        grown = math.lcm(modulus, n)
-        if grown != modulus:
-            largest[grown // modulus] = n
-            modulus = grown
-            idempotents = []
-            for q in largest.values():
-                cofactor = modulus // q
-                idempotents.append((q, cofactor * pow(cofactor, -1, q)))
-        x = sum(a[n - q] % q * e for q, e in idempotents) % modulus
-        bad = next((k for k in range(1, n + 1) if (x - a[n - k]) % k), None)
-        if bad is not None:
+        modulus = math.lcm(moduli[-1], n)
+        if modulus % n or modulus % moduli[-1]:
+            raise InternalInvariantError(f"term {n}: modulus {modulus} misses a constraint")
+        a.append(sum(diag) % modulus + pert[n] * modulus)
+        diag = list(accumulate(diag, operator.sub, initial=a[-1]))
+        moduli.append(modulus)
+    result = ExactSequence.of(a)
+    for k, (d, m) in enumerate(zip(binomial_transform(result), moduli)):
+        if d % m:
             raise InternalInvariantError(
-                f"term {n} misses its constraint x = a_{n - bad} (mod {bad})"
+                f"term {k} misses a constraint: lcm(1..{k}) = {m} does not divide D^{k} a_0"
             )
-        a.append(x + pert[n] * modulus)
-    return ExactSequence.of(a)
+    return result

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import math
 from fractions import Fraction
@@ -441,6 +442,36 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: not a decimal integer string")
+
+    @pytest.mark.parametrize("depth", [900, 1000, 100_000])
+    @pytest.mark.parametrize("command", ["audit", "gen-poly", "check"])
+    def test_deeply_nested_json_is_input_error(self, command, depth, tmp_path, capsys,
+                                               monkeypatch):
+        # json.loads recurses once per level, so deep nesting either passes
+        # the decoder as one bad entry or runs out of recursion; both are
+        # input errors, and the error line does not echo the whole input
+        text = "[" * depth + "]" * depth
+        path = tmp_path / "nested.json"
+        path.write_text(text)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        argv = {
+            "audit": ["audit"],
+            "gen-poly": ["gen", "poly", "--coeffs", text, "--n-max", "3"],
+            "check": ["check", "congruences", "--input", str(path)],
+        }[command]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err) < 300
+
+    def test_long_bad_entry_is_not_echoed_whole(self, capsys):
+        coeffs = '["' + "x" * 10_000 + '"]'
+        assert run_cli(["gen", "poly", "--coeffs", coeffs, "--n-max", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not a decimal integer string: 'xxx")
+        assert len(captured.err) < 300
 
     def test_internal_invariant_exits_three(self, tmp_path, capsys, monkeypatch):
         # a recurrence that does not reproduce the prefix is a bug, not a

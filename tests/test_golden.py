@@ -88,6 +88,9 @@ SHORT_TABLES = [
     ("audit-json-shifted-line", "shifted-line", COMMANDS["audit-json"]),
     ("audit-json-triangular", "triangular", COMMANDS["audit-json"]),
 ]
+# The Hall-style generator at the CLI's --n-max limit, where its modulus
+# lcm(1..1999) has 2,878 bits.
+CLI_LIMIT = [("gen-hall-2000", None, ["gen", "hall", "--n-max", "2000", "--seed", "1"])]
 CASES = (
     [(f"gen-{name}", None, GENERATED[name]) for name in ("primary", "hall")]
     + [(f"{cmd}-{inp}", inp, argv) for cmd, argv in COMMANDS.items() for inp in INPUTS]
@@ -95,6 +98,7 @@ CASES = (
     + ROW_HEAVY
     + LARGE_DENOMINATORS
     + SHORT_TABLES
+    + CLI_LIMIT
 )
 
 # (exit code, sha256 of stdout), recorded before the forward-difference and
@@ -150,6 +154,8 @@ GOLDEN = {
     "audit-json-cubic-n-max-5": (0, "4cc6535e22f2d1c87d87137958f4d3433e113e7422d2b4dc93059c43973b23d7"),
     "audit-json-shifted-line": (0, "d22e194bee1c7fdab56f903baf393347a37eb75a3208444335a55f112cadfad1"),
     "audit-json-triangular": (1, "a5d14485e402aea196cb4e9a2a482e8e915b1a482de1af0858bf26899ae4cd1c"),
+    # recorded before the Hall terms were read off the forward-difference table
+    "gen-hall-2000": (0, "5e3d14b8f97e6777d2c4c09456988c65d19d9d7e4d5a824490ac1b03ab5e2d39"),
 }
 
 

@@ -18,6 +18,8 @@ decomposition with Euclid and Yun over the rationals, and the hedgehog's
 shared-direction rule (argument clustering) with a comparison of every pair
 of arguments, and the audit's verdict and degree with its stages run in
 their earlier order, the certificate computed for every detected function.
+The congruence checks are compared with the divisibility of the forward
+differences by lcm(1..k) and by the primorials.
 """
 import cmath
 import dataclasses
@@ -66,6 +68,7 @@ from pseudopoly import (
     InputError,
     IntPolynomial,
     binomial_transform,
+    check_congruences,
     detect_rationality,
     eval_polynomial_sequence,
     generate_hall_like,
@@ -522,13 +525,40 @@ def test_singular_directions_see_the_oracles_doubles(den):
 ))
 @example([0] * 80)
 @example([5])
-# the running lcm grows, and the idempotents are rebuilt, at the prime
-# powers 121 = 11^2, 125 = 5^3 and 128 = 2^7
+# the running lcm grows at the prime powers 121 = 11^2, 125 = 5^3 and
+# 128 = 2^7
 @example([n % 11 - 5 for n in range(130)])
 def test_hall_matches_pairwise_crt(perturbation):
     length = len(perturbation)
     expected = hall_by_pairwise_crt(length, perturbation)
     assert list(generate_hall_like(length, perturbation)) == expected
+
+
+@st.composite
+def shifted_prefixes(draw):
+    """Random, primary and Hall prefixes, perhaps with the term at one index
+    i moved by +-1 or +-i."""
+    terms = draw(st.one_of(st.lists(small_ints, min_size=2, max_size=22), primary_or_hall()))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(terms) - 1))
+        terms[i] += draw(st.sampled_from([1, -1, i, -i]))
+    return terms
+
+
+@PROPERTY
+@given(shifted_prefixes())
+@example([0, 0, 0, 0, 6])  # P_4 = 6 divides the difference, lcm(1..4) = 12 does not
+def test_congruences_iff_forward_differences_divisible(terms):
+    # the criterion generate_hall_like's output check rests on: a prefix
+    # preserves congruences iff lcm(1..k) divides its forward difference
+    # of order k at 0 for every k, and primary ones iff P_k does
+    seq = ExactSequence.of(terms)
+    differences = list(binomial_transform(seq))
+    lcms = [math.lcm(*range(1, k + 1)) for k in range(len(terms))]
+    full = all(d % m == 0 for d, m in zip(differences, lcms))
+    primary = all(d % p == 0 for d, p in zip(differences, primorials(len(terms) - 1)))
+    assert full == check_congruences(seq, "full").ok
+    assert primary == check_congruences(seq, "primary").ok
 
 
 @st.composite

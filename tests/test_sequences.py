@@ -204,8 +204,11 @@ class TestGenerateHallLike:
             generate_hall_like(3, [0])
 
     def test_missed_constraint_is_an_internal_error(self, monkeypatch):
-        # zero idempotents make every term 0 mod lcm(1..n)
-        monkeypatch.setattr(sequences, "pow", lambda *args: 0, raising=False)
+        # an antidiagonal of copies of a_n hides every difference from the
+        # next term, so a_0 = 1 is missed mod 2 at n = 2
+        monkeypatch.setattr(
+            sequences, "accumulate", lambda diag, func, initial: [initial] * (len(diag) + 1)
+        )
         with pytest.raises(InternalInvariantError, match="constraint"):
             generate_hall_like(6, [1, 0, 0, 0, 0, 0])
 

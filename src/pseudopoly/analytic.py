@@ -12,8 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import InputError, NumericError
 from .hankel import RationalFunction
@@ -24,8 +23,7 @@ DIRECTION_TOL = 1e-6  # radians; argument clustering for singular directions
 RESIDUAL_TOL = 1e-9  # relative residual accepted from the root finder
 
 
-@dataclass(frozen=True)
-class Hedgehog:
+class Hedgehog(NamedTuple("Hedgehog", [("endpoints", tuple)])):
     """Union of segments from 0 to each endpoint.
 
     Endpoints must be nonzero with arguments that the clustering of
@@ -33,15 +31,13 @@ class Hedgehog:
     meet at the origin.
     """
 
-    endpoints: tuple[complex, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        if not isinstance(self.endpoints, tuple):
-            object.__setattr__(self, "endpoints", tuple(self.endpoints))
-        if len(self.endpoints) < 1:
+    def __new__(cls, endpoints: Iterable[complex]):
+        pts = tuple(map(complex, endpoints))
+        if len(pts) < 1:
             raise InputError("a hedgehog needs at least one endpoint")
-        pts = tuple(complex(z) for z in self.endpoints)
-        object.__setattr__(self, "endpoints", pts)
         for z in pts:
             if not cmath.isfinite(z):
                 raise InputError(f"hedgehog endpoint {z} is not finite")
@@ -55,14 +51,14 @@ class Hedgehog:
                 "two endpoints share a direction; "
                 "segments must be disjoint away from 0"
             )
+        return super().__new__(cls, pts)
 
     @property
     def spike_count(self) -> int:
         return len(self.endpoints)
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(NamedTuple):
     """Poles of a rational function with their argument classes.
 
     ``directions`` are the distinct principal arguments of the poles,
@@ -109,8 +105,7 @@ def chebyshev_theta(x: float) -> float:
     return _last(theta_rows(int(math.floor(x))))[1]
 
 
-@dataclass(frozen=True)
-class ExponentIdentityReport:
+class ExponentIdentityReport(NamedTuple):
     """Per-prime comparison of counted against required exponents."""
 
     n: int
@@ -149,8 +144,7 @@ def exponent_identity_check(n: int) -> ExponentIdentityReport:
     return ExponentIdentityReport(n, passed, per_prime)
 
 
-@dataclass(frozen=True)
-class ExponentIdentitySweep:
+class ExponentIdentitySweep(NamedTuple):
     checked_max: int
     passed: bool
     first_failure: int | None
@@ -314,7 +308,10 @@ def singular_directions(function: RationalFunction) -> SingularityReport:
         raise InputError("denominator must have degree >= 1")
     poles: list[tuple[complex, int]] = []
     for factor, multiplicity in squarefree_factors(from_int_polynomial(den)):
-        coeffs = np.array([c / factor[-1] for c in reversed(factor)])
+        try:
+            coeffs = np.array([c / factor[-1] for c in reversed(factor)])
+        except OverflowError as exc:
+            raise NumericError(f"a denominator factor is past the float range: {exc}") from exc
         roots = np.roots(coeffs)
         scale = float(np.max(np.abs(coeffs)))
         deg = len(coeffs) - 1

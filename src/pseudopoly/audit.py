@@ -10,7 +10,7 @@ certificate.  Every report carries its evidence tables, never a bare verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analytic import SingularityReport, singular_directions
 from .core import ExactSequence, InputError, InternalInvariantError, IntPolynomial
@@ -44,19 +44,13 @@ VERDICT_UNDETERMINED = "undetermined"
 VERDICT_CONGRUENCE_VIOLATION = "congruence_violation"
 
 
-@dataclass(frozen=True)
-class AuditConfig:
-    growth_bound: float = math.e
+class AuditConfig(NamedTuple):
+    growth_bound: float = math.e  # finite; ruzsa_audit checks it
     window: int = DEFAULT_WINDOW
     n_max: int | None = None  # Hankel orders; defaults to all observable
 
-    def __post_init__(self):
-        if not math.isfinite(self.growth_bound):
-            raise InputError("growth_bound must be finite")
 
-
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Full audit evidence plus the verdict.
 
     The polynomial verdict means: rationality was detected, the denominator
@@ -100,6 +94,8 @@ def ruzsa_audit(seq: ExactSequence, config: AuditConfig | None = None) -> AuditR
     reported as a property of the input.
     """
     cfg = config or AuditConfig()
+    if not math.isfinite(cfg.growth_bound):
+        raise InputError("growth_bound must be finite")
     if len(seq) < 10:
         raise InputError("the audit needs a prefix of at least 10 terms")
     if not seq.is_integer:

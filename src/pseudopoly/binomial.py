@@ -9,8 +9,8 @@ arithmetic is exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .core import ExactSequence, InputError
 from .primes import sieve_flags
@@ -74,8 +74,7 @@ def lower_triangular_rows(n: int) -> list[list[int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
+class DivisibilityReport(NamedTuple):
     """Outcome of the primorial-divisibility check on a transform."""
 
     passed: bool

@@ -49,11 +49,9 @@ TRANSFORM_TERMS_LIMIT = 1000  # terms; N^2/2 subtractions of terms up to 4,300 d
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -196,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", parents=[seq_in], help="full pipeline")
     audit.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    audit.add_argument("--growth-bound", type=float, default=None)
+    audit.add_argument("--growth-bound", type=float, default=AuditConfig().growth_bound)
     audit.add_argument("--n-max", type=int, default=None)
     _add_format(audit, ["json", "csv"], "json")
     return parser
@@ -324,10 +322,7 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_audit(args) -> int:
     seq = _read_sequence(args)
-    kwargs = {"window": args.window, "n_max": args.n_max}
-    if args.growth_bound is not None:
-        kwargs["growth_bound"] = args.growth_bound
-    report = ruzsa_audit(seq, AuditConfig(**kwargs))
+    report = ruzsa_audit(seq, AuditConfig(args.growth_bound, args.window, args.n_max))
     if args.format == "json":
         _emit(formats.dumps(formats.audit_json_obj(report)))
     else:

@@ -7,9 +7,8 @@ approximate quantities (growth proxies, capacity estimates, root finding).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 Exact = Union[int, Fraction]
 
@@ -19,6 +18,14 @@ def log_abs_exact(value: "Exact") -> float:
     if isinstance(value, Fraction):
         return math.log(abs(value.numerator)) - math.log(value.denominator)
     return math.log(abs(value))
+
+
+def root_abs_exact(value: "Exact", k: int, what: str) -> float:
+    """|value|^(1/k) of a nonzero exact number; InputError names ``what``."""
+    try:
+        return math.exp(log_abs_exact(value) / k)
+    except OverflowError:
+        raise InputError(f"|{what}|^(1/{k}) is past the float range") from None
 
 
 def exact_str(value: "Exact") -> str:
@@ -69,7 +76,6 @@ def as_exact(value) -> Exact:
     )
 
 
-@dataclass(frozen=True)
 class ExactSequence:
     """A finite prefix of a sequence with exact rational terms.
 
@@ -77,18 +83,35 @@ class ExactSequence:
     floating point is ever accepted.
     """
 
-    terms: tuple[Exact, ...]
+    __slots__ = ("terms",)  # not a tuple: len, [] and iter read the terms
 
-    def __post_init__(self):
-        if not isinstance(self.terms, tuple):
-            object.__setattr__(self, "terms", tuple(self.terms))
-        if len(self.terms) < 1:
+    def __init__(self, terms: Iterable[Exact]):
+        terms = tuple(terms)
+        if len(terms) < 1:
             raise InputError("a sequence needs at least one term")
-        for t in self.terms:
+        for t in terms:
             if isinstance(t, bool) or not isinstance(t, (int, Fraction)):
                 raise InputError(
                     f"sequence terms must be exact, got {type(t).__name__}"
                 )
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, *value):  # immutable: the Hankel memo keys on identity
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self.terms,)
+
+    def __eq__(self, other):
+        return self.terms == other.terms if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(terms={self.terms!r})"
 
     @classmethod
     def of(cls, values: Iterable) -> "ExactSequence":
@@ -115,24 +138,24 @@ class ExactSequence:
         return list(self.terms)
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(NamedTuple("IntPolynomial", [("coefficients", tuple)])):
     """Integer-coefficient polynomial, coefficients lowest degree first.
 
     The zero polynomial is the empty coefficient tuple; otherwise the
     trailing coefficient is nonzero.
     """
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
+    def __new__(cls, coefficients: Iterable[int]):
+        coeffs = tuple(coefficients)
         for c in coeffs:
             if isinstance(c, bool) or not isinstance(c, int):
                 raise InputError("polynomial coefficients must be ints")
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        return super().__new__(cls, coeffs)
 
     @classmethod
     def of(cls, values: Iterable) -> "IntPolynomial":

@@ -35,8 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .binomial import binomial_transform, lower_triangular_rows, primorials
 from .core import (
@@ -45,7 +45,7 @@ from .core import (
     IntPolynomial,
     InputError,
     InternalInvariantError,
-    log_abs_exact,
+    root_abs_exact,
 )
 from .polyarith import (
     clear_to_int_pair,
@@ -61,8 +61,7 @@ from .primes import is_prime, sieve_primes
 DEFAULT_WINDOW = 3  # trailing zero minors that detection asks for
 
 
-@dataclass(frozen=True)
-class HankelRecord:
+class HankelRecord(NamedTuple):
     """Audit row for one Hankel order.
 
     ``valuations`` holds (prime, required exponent, actual exponent) triples
@@ -79,8 +78,8 @@ class HankelRecord:
     normalized_growth: float | None
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(NamedTuple("RationalFunction", [
+        ("numerator", IntPolynomial), ("denominator", IntPolynomial), ("order", int)])):
     """Coprime integer-coefficient numerator/denominator pair.
 
     Normalized jointly: integer coefficients with content gcd 1 and a
@@ -89,26 +88,22 @@ class RationalFunction:
     order of the minimal constant-coefficient recurrence that produced it.
     """
 
-    numerator: IntPolynomial
-    denominator: IntPolynomial
-    order: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        if self.denominator.is_zero:
+    def __new__(cls, numerator: IntPolynomial, denominator: IntPolynomial, order: int):
+        if denominator.is_zero:
             raise InputError("denominator must be nonzero")
-        if self.denominator.constant_term() <= 0:
+        if denominator.constant_term() <= 0:
             raise InputError("denominator constant term must be positive")
-        if self.order < 0:
+        if order < 0:
             raise InputError("order must be >= 0")
-        coeffs = self.numerator.coefficients + self.denominator.coefficients
-        if math.gcd(*coeffs) != 1:
+        if math.gcd(*numerator.coefficients, *denominator.coefficients) != 1:
             raise InputError("numerator and denominator must have joint content 1")
-        g = gcd_poly(
-            from_int_polynomial(self.numerator),
-            from_int_polynomial(self.denominator),
-        )
+        g = gcd_poly(from_int_polynomial(numerator), from_int_polynomial(denominator))
         if degree(g) > 0:
             raise InputError("numerator and denominator must be coprime")
+        return super().__new__(cls, numerator, denominator, order)
 
     def taylor(self, count: int) -> list[Exact]:
         """First ``count`` coefficients of the power series expansion."""
@@ -120,8 +115,7 @@ class RationalFunction:
         return f"({self.numerator})/({self.denominator})"
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     """Outcome of the conjugation/determinant invariance verification."""
 
     passed: bool
@@ -129,8 +123,7 @@ class InvarianceReport:
     first_failure: tuple[int, str] | None  # (order, "entrywise" | "determinant")
 
 
-@dataclass(frozen=True)
-class RationalityDetection:
+class RationalityDetection(NamedTuple):
     """Kronecker-style detection evidence, with the reconstruction if any.
 
     ``det_table`` lists the exact Hankel determinants for every observable
@@ -330,7 +323,7 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
                 break
             valuations.append((p, n - p, _exact_valuation(det, p)))
         divisible = all(actual >= required for _, required, actual in valuations)
-        growth = None if det == 0 else math.exp(log_abs_exact(det) / (n * n))
+        growth = None if det == 0 else root_abs_exact(det, n * n, f"det H_{n}")
         records.append(
             HankelRecord(n, det, required_divisor, tuple(valuations), divisible, growth)
         )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
@@ -19,7 +18,7 @@ from .core import (
     IntPolynomial,
     InputError,
     InternalInvariantError,
-    log_abs_exact,
+    root_abs_exact,
 )
 from .primes import sieve_primes
 
@@ -31,8 +30,7 @@ class Violation(NamedTuple):
     rhs_residue: int  # a_n mod modulus
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Result of checking a_{n+m} = a_n (mod m) over a prefix."""
 
     mode: str  # "primary" (prime moduli) or "full" (all moduli)
@@ -45,8 +43,7 @@ class CongruenceReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """Finite-prefix growth proxy: per-term n-th roots and their tail maximum.
 
     ``tail_sup`` is max of ``per_n`` over the upper half of the prefix.  This
@@ -107,7 +104,7 @@ def growth_rate(seq: ExactSequence) -> GrowthReport:
     for n in range(1, n_terms):
         t = seq[n]
         if t != 0:
-            per_n[n] = math.exp(log_abs_exact(t) / n)
+            per_n[n] = root_abs_exact(t, n, f"a_{n}")
     tail_start = (n_terms + 1) // 2  # ceil(N/2)
     tail_sup = max(per_n[tail_start:], default=0.0)
     return GrowthReport(tail_sup, tuple(per_n), tail_start)

@@ -10,7 +10,7 @@ from oracles import render_polynomial
 from pseudopoly import AuditConfig, ExactSequence, InputError, IntPolynomial
 from pseudopoly import generate_primary, ruzsa_audit
 from pseudopoly import hankel
-from pseudopoly.hankel import HankelRecord
+from pseudopoly.hankel import HankelRecord, InvarianceReport
 from pseudopoly.cli import (
     CONGRUENCE_TERMS_LIMIT,
     GEN_TERMS_LIMIT,
@@ -22,6 +22,7 @@ from pseudopoly.formats import (
     dumps,
     hankel_csv,
     hankel_json_obj,
+    invariance_json_obj,
     parse_polynomial,
     parse_sequence,
     render_sequence,
@@ -89,6 +90,13 @@ class TestFormats:
             f"2,{digits}/3,1,true,",
         ]
         assert str(IntPolynomial.of([big, -big])) == f"{digits} - {digits}*x"
+
+    def test_invariance_failure_is_written_with_its_order_and_check(self):
+        report = InvarianceReport(False, 5, (3, "entrywise"))
+        assert dumps(invariance_json_obj(report)) == (
+            '{\n  "checked_max": 5,\n  "first_failure": {\n    "check": "entrywise",\n'
+            '    "n": 3\n  },\n  "passed": false\n}\n'
+        )
 
     @pytest.mark.parametrize(
         "value",
@@ -472,6 +480,56 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("error: not a decimal integer string: 'xxx")
         assert len(captured.err) < 300
+
+    @pytest.mark.parametrize(
+        "command,terms,message",
+        [
+            ("audit", [10**400] + [1] * 10, "error: |det H_1|^(1/1) is past the float range"),
+            ("hankel", [10**400] + [1] * 10, "error: |det H_1|^(1/1) is past the float range"),
+            ("audit", [7, 10**400] + [1] * 10, "error: |a_1|^(1/1) is past the float range"),
+        ],
+        ids=["audit-det", "hankel-table-det", "audit-growth"],
+    )
+    def test_root_past_the_float_range_is_input_error(self, command, terms, message,
+                                                       tmp_path, capsys):
+        # the normalized growth |det H_n|^(1/n^2) and the growth proxy
+        # |a_n|^(1/n) are floats; a root past their range is refused
+        argv = {"audit": ["audit"], "hankel": ["hankel", "table"]}[command]
+        path = write_sequence(tmp_path, "huge.txt", terms)
+        assert run_cli(argv + ["--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+    def test_denominator_past_the_float_range_is_a_numeric_failure(self, tmp_path, capsys):
+        # a_n = 10^310 a_(n-1) - a_(n-2): the root finder's input, the
+        # coefficients of 1 - 10^310 x + x^2, do not fit in a float
+        terms = [0, 1]
+        while len(terms) < 12:
+            terms.append(10**310 * terms[-1] - terms[-2])
+        path = write_sequence(tmp_path, "wide.txt", terms)
+        assert run_cli(["audit", "--input", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: a denominator factor is past the float range")
+
+    @pytest.mark.parametrize("source", ["input", "coeffs", "stdin"])
+    def test_input_that_is_not_utf8_is_input_error(self, source, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"\xff\xfe1\n")
+        monkeypatch.setattr(
+            "sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff1\n"), encoding="utf-8")
+        )
+        argv = {
+            "input": ["audit", "--input", str(path)],
+            "coeffs": ["gen", "poly", "--coeffs", f"@{path}", "--n-max", "3"],
+            "stdin": ["audit"],
+        }[source]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read ")
+        assert "can't decode byte 0xff" in captured.err
 
     def test_internal_invariant_exits_three(self, tmp_path, capsys, monkeypatch):
         # a recurrence that does not reproduce the prefix is a bug, not a

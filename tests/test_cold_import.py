@@ -4,8 +4,10 @@ numpy is imported only by the two routines that call it, the root finder
 behind ``singular_directions`` and the Leja estimator behind ``capacity
 estimate``, so every other command starts without it.  ``decimal`` is
 imported by ``core.exact_str`` only for ints past the interpreter's
-int-to-str digit limit.  This process has long since loaded both (pytest,
-hypothesis and numpy-using tests), so each check runs in a fresh
+int-to-str digit limit.  The records are ``NamedTuple`` types, so neither
+the import nor those commands load ``dataclasses`` or ``inspect`` (numpy
+loads ``inspect`` itself).  This process has long since loaded all of them
+(pytest, hypothesis and numpy-using tests), so each check runs in a fresh
 interpreter (``sys.executable``) that reports back one JSON object.
 """
 import contextlib
@@ -33,7 +35,8 @@ SRC = str(Path(pseudopoly.__file__).resolve().parents[1])
 CHILD = r'''
 import contextlib, hashlib, io, json, sys
 
-started_with = sorted({"numpy", "decimal"} & set(sys.modules))
+RECORD_MACHINERY = {"dataclasses", "inspect"}
+started_with = sorted(({"numpy", "decimal"} | RECORD_MACHINERY) & set(sys.modules))
 decimal_importers = []
 
 
@@ -56,6 +59,7 @@ from pseudopoly import HankelRecord, formats
 result = {
     "started_with": started_with,
     "numpy_after_import": "numpy" in sys.modules,
+    "machinery_after_import": sorted(RECORD_MACHINERY & set(sys.modules)),
     "decimal_importers": decimal_importers,
     "calls": [],
 }
@@ -66,6 +70,7 @@ for argv, text in calls:
         code = pseudopoly.cli.run_cli(argv)
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     result["calls"].append([code, digest, "numpy" in sys.modules])
+result["machinery_after_calls"] = sorted(RECORD_MACHINERY & set(sys.modules))
 big = 10**4999 + 7
 result["big"] = formats.dumps(formats.hankel_json_obj([HankelRecord(1, -big, big, (), True, None)]))
 print(json.dumps(result))
@@ -128,6 +133,7 @@ ROOT_FINDERS = [
 def test_import_loads_no_numpy_and_no_decimal_of_its_own():
     result = _cold([])
     assert result["numpy_after_import"] is False
+    assert result["machinery_after_import"] == []
     assert not [m for m in result["decimal_importers"] if m.startswith("pseudopoly")]
 
 
@@ -137,6 +143,7 @@ def test_commands_without_a_root_finder_never_load_numpy():
     for (case_id, argv, text), (code, digest, numpy_loaded) in zip(NUMPY_FREE, result["calls"]):
         assert (code, digest) == _expected(case_id, argv, text), argv
         assert numpy_loaded is False, argv
+    assert result["machinery_after_calls"] == []
     assert not [m for m in result["decimal_importers"] if m.startswith("pseudopoly")]
 
 

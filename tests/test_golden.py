@@ -91,6 +91,18 @@ SHORT_TABLES = [
 # The Hall-style generator at the CLI's --n-max limit, where its modulus
 # lcm(1..1999) has 2,878 bits.
 CLI_LIMIT = [("gen-hall-2000", None, ["gen", "hall", "--n-max", "2000", "--seed", "1"])]
+# Commands and formats that no case above renders: the CSV writers of the
+# congruence and rationality reports, the Hankel table as JSON, the two
+# Hankel verifications, the primary congruence mode and the capacity bound.
+UNPINNED = {
+    "congruences-csv": COMMANDS["congruences"] + ["--format", "csv"],
+    "rational-csv": COMMANDS["rational"] + ["--format", "csv"],
+    "hankel-json": COMMANDS["hankel"] + ["--format", "json"],
+    "invariance": ["hankel", "verify-invariance"],
+    "divisibility": ["hankel", "verify-divisibility"],
+    "congruences-primary": ["check", "congruences", "--mode", "primary"],
+}
+CAPACITY = [("capacity-bound", None, ["capacity", "bound", "--endpoints", "1,-1,1j"])]
 CASES = (
     [(f"gen-{name}", None, GENERATED[name]) for name in ("primary", "hall")]
     + [(f"{cmd}-{inp}", inp, argv) for cmd, argv in COMMANDS.items() for inp in INPUTS]
@@ -99,6 +111,8 @@ CASES = (
     + LARGE_DENOMINATORS
     + SHORT_TABLES
     + CLI_LIMIT
+    + [(f"{cmd}-{inp}", inp, argv) for cmd, argv in UNPINNED.items() for inp in INPUTS]
+    + CAPACITY
 )
 
 # (exit code, sha256 of stdout), recorded before the forward-difference and
@@ -156,6 +170,38 @@ GOLDEN = {
     "audit-json-triangular": (1, "a5d14485e402aea196cb4e9a2a482e8e915b1a482de1af0858bf26899ae4cd1c"),
     # recorded before the Hall terms were read off the forward-difference table
     "gen-hall-2000": (0, "5e3d14b8f97e6777d2c4c09456988c65d19d9d7e4d5a824490ac1b03ab5e2d39"),
+    # recorded before the report records became NamedTuples
+    "congruences-csv-cubic": (0, "4c00cf5f3e729f1192068bb2017bada3e5e9d5f762a3df1f0fa94753b207b03e"),
+    "congruences-csv-fibonacci": (1, "754b0dd5f3c30ccef830b67619bd23c4779da8181d5c2483ad3c5dc70d47cdf6"),
+    "congruences-csv-primary": (1, "810137a3a0192b24140e772e68ce4fe59b8d3fb37aaf26840cbfa28042e0d592"),
+    "congruences-csv-hall": (0, "4c00cf5f3e729f1192068bb2017bada3e5e9d5f762a3df1f0fa94753b207b03e"),
+    "congruences-csv-random": (1, "1b555335a4c2114261f6dd530fee43c803c5e2fa0ca1c05ef9a7d1f1843955ce"),
+    "rational-csv-cubic": (0, "6f2efee1fa646d59575183dea09546f83a88c06ab175a55da974282d2beb80aa"),
+    "rational-csv-fibonacci": (0, "57dc7642f64249f4a8349ff78c0c0f4c9c9e3bd95e386a91f784406a55d5497a"),
+    "rational-csv-primary": (0, "8fa01278704a5cc82c5d275be2c6aa594c55bdf0276b6ba9c39e3fb561173fc0"),
+    "rational-csv-hall": (0, "21ee0c7228852cc9c5d0fec5d604558abc22db33c5e058d79115bbbae001210f"),
+    "rational-csv-random": (0, "986c5bebd24c49bfd4abdd00afac33e4282256a9390ef695bba587b09f7d70e8"),
+    "hankel-json-cubic": (0, "adbf1b97ccc56a3f4c43a41c0f709fc988de6d4ae31cf44585485b69951d2f25"),
+    "hankel-json-fibonacci": (0, "4d7735e2733d5c5dcbb2c1abb0731f3b9bbe9dee917e60553b74f395a8388513"),
+    "hankel-json-primary": (0, "aeca2dda7a5a4411dea2e07043031a9a2770da513bc94c8a5561265370b4aa88"),
+    "hankel-json-hall": (0, "580c01979429d1d5f8c9185cb697df8dd15234adf32c08d2a1b43c3a9432c9b1"),
+    "hankel-json-random": (0, "651438ea1990f1417527478f2d073da8c2c7cc3fa37fa3f2e82fd67bff90e0c8"),
+    "invariance-cubic": (0, "e7d3d9785a12c571a8f1a271491c34d889bd73de662561930624f97e53ef75a4"),
+    "invariance-fibonacci": (0, "e7d3d9785a12c571a8f1a271491c34d889bd73de662561930624f97e53ef75a4"),
+    "invariance-primary": (0, "fe7badbf0c3a78adf3fa1b423dae7de194684e36a74000562d0fa453d65fc752"),
+    "invariance-hall": (0, "fe7badbf0c3a78adf3fa1b423dae7de194684e36a74000562d0fa453d65fc752"),
+    "invariance-random": (0, "e701f7f61c0a2d6521ce2f189eee4a738480ab91a43933b30a04ed903d31a56d"),
+    "divisibility-cubic": (0, "910bd301f7826cc299cf43d5743ca7242da42e23132f38596f5d49ff81531393"),
+    "divisibility-fibonacci": (0, "4fb13d37c4e5029a7931dc52a64296976aaabd3d6cca0449da549ed2a75a111a"),
+    "divisibility-primary": (0, "a1486108263fef4964f7e8cac4518d43c50edb38563927d51cb33c0c6d33e176"),
+    "divisibility-hall": (0, "1d07c41815673f70da1ba376426cbf11bf7baa11a48710730c1e00269cf3236e"),
+    "divisibility-random": (1, "4ddcb3c3768a0e99e64099a26f73d171cbf49ffb5296abe9304f4beacf6fc076"),
+    "congruences-primary-cubic": (0, "f4d2794ea0c51defa34a6e17ff914809260cea14dd9af68b8d6674ba5d9fb728"),
+    "congruences-primary-fibonacci": (1, "44821af31bb687d0d328634a26c37f5b41521d62ba9474acc06f063c24d7bdb0"),
+    "congruences-primary-primary": (0, "c47aff2dd82bcf651286ebe27ec3e846793086070973eec80f792ab7dfa6b5bd"),
+    "congruences-primary-hall": (0, "c47aff2dd82bcf651286ebe27ec3e846793086070973eec80f792ab7dfa6b5bd"),
+    "congruences-primary-random": (1, "95b39762a8ac0c947371f482f9339cd6a27eaa6194c51cc8bfbbd36d808a7b50"),
+    "capacity-bound": (0, "4a096998f1ddc70277b89abac396d66f29ca437a8944e6cc91cab9802cf4ab23"),
 }
 
 

@@ -22,7 +22,6 @@ The congruence checks are compared with the divisibility of the forward
 differences by lcm(1..k) and by the primorials.
 """
 import cmath
-import dataclasses
 import math
 from math import comb
 from fractions import Fraction
@@ -683,7 +682,7 @@ BASE_AUDIT = ruzsa_audit(ExactSequence.of([2**n for n in range(12)]))
 def test_row_writers_match_dict_rows(records, congruence):
     assert dumps(hankel_json_obj(records)) == json_dumps(hankel_rows_as_dicts(records))
     assert dumps(congruence_json_obj(congruence)) == json_dumps(congruence_as_dict(congruence))
-    report = dataclasses.replace(BASE_AUDIT, hankel=tuple(records), congruence=congruence)
+    report = BASE_AUDIT._replace(hankel=tuple(records), congruence=congruence)
     assert dumps(audit_json_obj(report)) == json_dumps(audit_as_dict(report))
 
 

@@ -34,13 +34,14 @@ def primorials(n_max: int) -> tuple[int, ...]:
 def binomial_transform(seq: ExactSequence) -> ExactSequence:
     """b_n = sum_{k=0}^{n} (-1)^(n-k) C(n,k) a_k, computed exactly as the
     leading column of the forward-difference table: b_n is the first entry
-    of the n-th difference row."""
+    of the n-th difference row.  Every row below an all-zero row is zero,
+    so the table stops there and the column is filled up with zeros."""
     row = list(seq.terms)
     column = []
-    while row:
+    while any(row):
         column.append(row[0])
         row = [y - x for x, y in zip(row, row[1:])]
-    return ExactSequence.of(column)
+    return ExactSequence.of(column + [0] * len(row))
 
 
 def inverse_binomial_transform(seq: ExactSequence) -> ExactSequence:

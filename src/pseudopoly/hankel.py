@@ -32,7 +32,6 @@ function is not reduced again.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -134,10 +133,6 @@ class RationalityDetection(NamedTuple):
     det_table: tuple[Exact, ...]
     zero_run: int
     window: int
-
-
-def _hankel_rows(values: list, n: int) -> list[list]:
-    return [[values[i + j] for j in range(n)] for i in range(n)]
 
 
 def _leading_minors(values: list[int], n: int) -> tuple[list[int], list[int] | None]:
@@ -339,14 +334,6 @@ def normalized_det_growth(seq: ExactSequence, n_max: int) -> list[float | None]:
     return [r.normalized_growth for r in hankel_table(seq, n_max)]
 
 
-def _times_lower_triangular(l_rows: list[list], m_rows: list[list]) -> list[list]:
-    """L @ M^T for a lower triangular L, whose row i stops at column i."""
-    return [
-        [sum(map(operator.mul, li, mj)) for mj in m_rows]
-        for li in (row[: i + 1] for i, row in enumerate(l_rows))
-    ]
-
-
 def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceReport:
     """Check, for each order n <= n_max, that conjugating the Hankel matrix
     by the signed-binomial triangular matrix reproduces the Hankel matrix of
@@ -359,6 +346,20 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
     entry (i, j) that differs fails every order above max(i, j).  The
     determinants of the orders below the first entrywise failure are the
     leading minors of the two Hankel matrices.
+
+    The conjugation runs on rows packed into integers by Kronecker
+    substitution at B = 2^K: a row (r_0 .. r_(n-1)) packs to sum_j r_j B^j.
+    Packed column k of L H is sum_m a_(k+m) (packed column m of L), and
+    packed row i of L H L^T = L (L H)^T is sum_(k <= i) L[i][k] (packed
+    column k of L H): O(n^2) big-integer products in all.  Row i of L has
+    absolute sum 2^i, so an entry of L H L^T is below 2^(2n-2+bits(a)) and
+    one of H(b) below 2^bits(b), bits() the largest bit length among the
+    first 2n - 1 terms; K = max(2n - 2 + bits(a), bits(b)) + 2 keeps every
+    entry of the difference of two packed rows strictly inside +-B/2.  The
+    lowest nonzero such digit d_j is not divisible by B, so the difference
+    is divisible by B^j but not by B^(j+1): it is 0 only if the rows agree
+    entrywise, and otherwise its lowest set bit, divided by K, is the first
+    column j that fails in row i.
     """
     if n_max < 1 or n_max > max_order(seq):
         raise InputError(
@@ -368,19 +369,19 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
         # both checks are homogeneous, so scaling by the lcm of the
         # denominators changes neither outcome
         seq = ExactSequence(tuple(_clear_denominators(seq.terms)[0]))
-    a = seq.integer_terms()
-    b = binomial_transform(seq).integer_terms()
-    h_b = _hankel_rows(b, n_max)
-    # H is symmetric, so L H L^T = L (L H)^T
+    a = seq.integer_terms()[: 2 * n_max - 1]
+    b = binomial_transform(seq).integer_terms()[: 2 * n_max - 1]
+    width = max(2 * n_max - 2 + max(map(int.bit_length, a)),
+                max(map(int.bit_length, b))) + 2
+    powers = [1 << (width * j) for j in range(n_max)]
     l_rows = lower_triangular_rows(n_max)
-    conjugated = _times_lower_triangular(
-        l_rows, _times_lower_triangular(l_rows, _hankel_rows(a, n_max))
-    )
-    entrywise = min(
-        (max(i, j) + 1 for i, j in itertools.product(range(n_max), repeat=2)
-         if conjugated[i][j] != h_b[i][j]),
-        default=None,
-    )
+    l_cols = [sum(map(operator.mul, col, powers)) for col in zip(*l_rows)]
+    lh_cols = [sum(map(operator.mul, a[k:k + n_max], l_cols)) for k in range(n_max)]
+    diffs = (sum(map(operator.mul, row[:i + 1], lh_cols))
+             - sum(map(operator.mul, b[i:i + n_max], powers))
+             for i, row in enumerate(l_rows))
+    entrywise = min((max(i, ((d & -d).bit_length() - 1) // width) + 1
+                     for i, d in enumerate(diffs) if d), default=None)
     agreed = n_max if entrywise is None else entrywise - 1
     minors_a = _leading_minors(a, agreed)[0]
     minors_b = _leading_minors(b, agreed)[0]
@@ -457,8 +458,9 @@ def detect_rationality(
         _, values, scale, _, den = _remainder_sequence(seq, n)
         if den is not None:
             order = len(den) - 1
-            miss = next((m for m in range(order, n_terms)
-                         if sum(map(operator.mul, den, values[m::-1]))), n_terms)
+            reversed_den = den[::-1]
+            miss = next((m for m in range(order, n_terms) if sum(map(
+                operator.mul, reversed_den, values[m - order:m + 1]))), n_terms)
             if miss <= 2 * n - 2:
                 raise InternalInvariantError(
                     "the remainder sequence's recurrence does not reproduce the prefix"

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .core import Exact, IntPolynomial, InputError, InternalInvariantError
@@ -121,12 +122,11 @@ def series_from_rational(
     den = trim(den)
     if not den or den[0] == 0:
         raise InputError("denominator must have a nonzero constant term")
-    d0 = den[0]
+    d0, negated = den[0], [-c for c in den[1:]]
     out: list[Exact] = []
     for k in range(count):
-        acc = num[k] if k < len(num) else 0
-        for i in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[i] * out[k - i]
+        # num[k] - sum of den[i] * out[k - i] over i = 1 .. min(k, deg den)
+        acc = sum(map(mul, negated, reversed(out)), num[k] if k < len(num) else 0)
         q, r = divmod(acc, d0)
         out.append(q if r == 0 else Fraction(acc, d0))
     return out

@@ -4,9 +4,9 @@ The library computes rational Hankel determinants by clearing
 denominators first, reads every Hankel determinant of a prefix and the
 integer recurrence of its last nonzero minor's order off one truncated
 subresultant pseudo-remainder sequence, checks transform invariance with
-one conjugation at the largest order, and reads the binomial transform,
-the polynomiality certificate and the power-of-(1 - x) test off one
-forward-difference table.  The routines below are the direct methods
+one conjugation at the largest order on rows packed into integers, and
+reads the binomial transform, the polynomiality certificate and the
+power-of-(1 - x) test off one forward-difference table.  The routines below are the direct methods
 those replaced: Berlekamp-Massey over the rationals and a Gauss-Jordan
 solve over the rationals for every candidate recurrence order, Gaussian
 elimination over the rationals, a fraction-free Bareiss elimination with
@@ -63,10 +63,14 @@ from pseudopoly.hankel import (
     RationalFunction,
     _clear_denominators,
     _exact_valuation,
-    _hankel_rows,
 )
 from pseudopoly.polyarith import degree, derivative, trim
 from pseudopoly.primes import sieve_primes
+
+
+def hankel_rows(values: list, n: int) -> list[list]:
+    """The order-n Hankel matrix of ``values``, row by row."""
+    return [[values[i + j] for j in range(n)] for i in range(n)]
 
 
 def rational_det(rows: list[list]) -> Fraction:
@@ -360,9 +364,9 @@ def determinant_by_order(seq: ExactSequence, n: int):
     """det H_n by an elimination of its own, with row pivoting, after
     clearing denominators."""
     if seq.is_integer:
-        return bareiss_det(_hankel_rows(seq.integer_terms(), n))
+        return bareiss_det(hankel_rows(seq.integer_terms(), n))
     scaled, scale = _clear_denominators(seq.terms[: 2 * n - 1])
-    return Fraction(bareiss_det(_hankel_rows(scaled, n)), scale**n)
+    return Fraction(bareiss_det(hankel_rows(scaled, n)), scale**n)
 
 
 def hankel_table_by_order(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
@@ -405,8 +409,8 @@ def invariance_by_order(seq: ExactSequence, n_max: int) -> InvarianceReport:
     a = seq.integer_terms()
     b = hankel.binomial_transform(seq).integer_terms()
     for n in range(1, n_max + 1):
-        h_f = _hankel_rows(a, n)
-        h_g = _hankel_rows(b, n)
+        h_f = hankel_rows(a, n)
+        h_g = hankel_rows(b, n)
         l_rows = hankel.lower_triangular_rows(n)
         conjugated = matmul(matmul(l_rows, h_f), transpose(l_rows))
         if conjugated != h_g:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import matmul, transpose, valuation_map
+from oracles import hankel_rows, matmul, transpose, valuation_map
 from pseudopoly import (
     AuditConfig,
     ExactSequence,
@@ -84,19 +84,19 @@ def series_division_oracle(num, den, count):
 
 
 class TestHankelMatrix:
-    # the layout of the rows that the invariance check conjugates
+    # the layout of the rows that the oracles conjugate and eliminate
     def test_fibonacci_order_two(self):
-        assert hankel._hankel_rows(list(FIB_5), 2) == [[0, 1], [1, 1]]
+        assert hankel_rows(list(FIB_5), 2) == [[0, 1], [1, 1]]
 
     def test_order_three_layout(self):
-        assert hankel._hankel_rows([10, 11, 12, 13, 14], 3) == [
+        assert hankel_rows([10, 11, 12, 13, 14], 3) == [
             [10, 11, 12],
             [11, 12, 13],
             [12, 13, 14],
         ]
 
     def test_order_one(self):
-        assert hankel._hankel_rows([7], 1) == [[7]]
+        assert hankel_rows([7], 1) == [[7]]
 
     def test_error_names_needed_length(self):
         with pytest.raises(InputError, match="9"):
@@ -105,7 +105,7 @@ class TestHankelMatrix:
     def test_symmetric_and_constant_on_antidiagonals(self):
         rng = random.Random(3)
         terms = [rng.randint(-9, 9) for _ in range(15)]
-        m = hankel._hankel_rows(terms, 8)
+        m = hankel_rows(terms, 8)
         for i in range(8):
             for j in range(8):
                 assert m[i][j] == m[j][i] == terms[i + j]
@@ -246,13 +246,24 @@ class TestTransformInvariance:
         seq = ExactSequence.of(terms)
         n = 6
         l_rows = lower_triangular_rows(n)
-        h_a = hankel._hankel_rows(terms, n)
+        h_a = hankel_rows(terms, n)
         conjugated = matmul(matmul(l_rows, h_a), transpose(l_rows))
-        assert conjugated == hankel._hankel_rows(list(binomial_transform(seq)), n)
+        assert conjugated == hankel_rows(list(binomial_transform(seq)), n)
 
     def test_out_of_range_order(self):
         with pytest.raises(InputError):
             verify_transform_invariance(FIB_5, 4)
+
+    def test_transform_and_l_are_looked_up_once_on_the_module(self, monkeypatch):
+        # a stage trace wraps the two names on this module, and reports a
+        # span for each call
+        calls = []
+        for name in ("binomial_transform", "lower_triangular_rows"):
+            original = getattr(hankel, name)
+            monkeypatch.setattr(hankel, name, lambda *args, name=name, original=original:
+                                calls.append(name) or original(*args))
+        assert verify_transform_invariance(ExactSequence.of(CUBIC_40), 20).passed
+        assert sorted(calls) == ["binomial_transform", "lower_triangular_rows"]
 
     def test_determinant_mismatch_is_reported_at_its_order(self, monkeypatch):
         # the determinant check guards the elimination itself: a wrong

@@ -269,10 +269,13 @@ def test_memoized_determinants_never_cross_sequences(first, second, schedule, pa
         assert type(det) is (int if s.is_integer else Fraction)
 
 
+# up to 64 terms of every size, so that the packed conjugation's slot
+# width and its rows of up to 32 slots both vary
 invariance_prefixes = st.one_of(
-    st.lists(st.integers(-1000, 1000), min_size=1, max_size=25),
-    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=1, max_size=25),
-    st.lists(fractions, min_size=1, max_size=25),
+    st.lists(st.integers(-1000, 1000), min_size=1, max_size=64),
+    st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=64),
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=1, max_size=64),
+    st.lists(fractions, min_size=1, max_size=64),
     zero_led,
     c_finite(st.integers(-3, 3)),
 )
@@ -286,22 +289,43 @@ def test_invariance_matches_conjugation_by_order(terms, cut):
     assert verify_transform_invariance(seq, n_max) == invariance_by_order(seq, n_max)
 
 
+def width_from_a(seq, n_max):
+    """The slot width of the packed conjugation when it is sized from a
+    alone; the transform of an unperturbed prefix never widens it."""
+    if not seq.is_integer:
+        seq = ExactSequence(tuple(hankel._clear_denominators(seq.terms)[0]))
+    return 2 * n_max + max(abs(t).bit_length() for t in seq.terms[:2 * n_max - 1])
+
+
+def transform_perturbed_by(deltas):
+    """A replacement for the binomial transform that adds ``deltas`` (index
+    -> amount) to the true one."""
+    original = hankel.binomial_transform
+
+    def perturbed(s):
+        b = list(original(s))
+        for index, delta in deltas.items():
+            b[index] += delta
+        return ExactSequence.of(b)
+
+    return perturbed
+
+
 @PROPERTY
 @given(invariance_prefixes, st.data())
 def test_perturbed_transform_fails_at_the_oracles_order(terms, data):
     seq = ExactSequence.of(terms)
     n_max = data.draw(st.integers(1, max_order(seq)))
     index = data.draw(st.integers(0, len(seq) - 1))
-    delta = data.draw(st.sampled_from([-1, 1, 7]))
-    original = hankel.binomial_transform
-
-    def perturbed(s):
-        b = list(original(s))
-        b[index] += delta
-        return ExactSequence(tuple(b))
-
+    # small amounts, and powers of two at and beyond the slot width
+    width = width_from_a(seq, n_max)
+    delta = data.draw(st.one_of(
+        st.sampled_from([-1, 1, 7]),
+        st.builds(lambda sign, j: sign << j, st.sampled_from([-1, 1]),
+                  st.one_of(st.integers(0, width + 8), st.integers(width - 2, width + 2))),
+    ))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hankel, "binomial_transform", perturbed)
+        mp.setattr(hankel, "binomial_transform", transform_perturbed_by({index: delta}))
         report = verify_transform_invariance(seq, n_max)
         expected = invariance_by_order(seq, n_max)
     assert report == expected
@@ -309,6 +333,24 @@ def test_perturbed_transform_fails_at_the_oracles_order(terms, data):
     order = (index + 1) // 2 + 1
     if order <= n_max:
         assert report.first_failure == (order, "entrywise")
+
+
+@PROPERTY
+@given(invariance_prefixes.filter(lambda terms: len(terms) >= 3), st.data())
+def test_carry_between_adjacent_slots_is_not_missed(terms, data):
+    # +2^K in one slot and -1 in the next pack to 0 for B = 2^K: a width
+    # sized from a alone would miss the rows that hold both terms
+    seq = ExactSequence.of(terms)
+    n_max = data.draw(st.integers(2, max_order(seq)))
+    index = data.draw(st.integers(0, 2 * n_max - 3))
+    shift = width_from_a(seq, n_max) + data.draw(st.integers(-1, 2))
+    deltas = {index: 1 << shift, index + 1: -1}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hankel, "binomial_transform", transform_perturbed_by(deltas))
+        report = verify_transform_invariance(seq, n_max)
+        expected = invariance_by_order(seq, n_max)
+    assert report == expected
+    assert report.first_failure == ((index + 1) // 2 + 1, "entrywise")
 
 
 @PROPERTY
@@ -358,6 +400,23 @@ def test_transform_pair_matches_binomial_sums(terms):
     assert list(b) == signed_binomial_sums(list(seq))
     assert list(inverse_binomial_transform(seq)) == binomial_sums(list(seq))
     assert inverse_binomial_transform(b) == seq
+
+
+@PROPERTY
+@given(st.one_of(
+    st.lists(st.integers(-9, 9), max_size=9),
+    st.lists(fractions, max_size=5),
+), st.integers(1, 40), st.integers(0, 5))
+@example([], 12, 0)  # all zero
+@example([7], 1, 0)  # a single term
+@example([5], 1, 3)  # one nonzero term, the last one
+def test_transform_that_stops_at_a_zero_row_matches_binomial_sums(coeffs, length, leading):
+    # polynomial values: the difference rows vanish after deg + 1 steps, or
+    # never within a short prefix; ``leading`` zeros move the first nonzero term
+    terms = [0] * leading + [
+        sum(c * n**k for k, c in enumerate(coeffs)) for n in range(length)
+    ]
+    assert list(binomial_transform(ExactSequence.of(terms))) == signed_binomial_sums(terms)
 
 
 @st.composite
@@ -442,6 +501,8 @@ series_coefficients = st.one_of(
 )
 @example([1], 1, [-1, -1], 12)  # 1/(1 - x - x^2)
 @example([Fraction(1, 2), 3], 2, [1], 8)
+@example([1, 2, 3, 4, 5, 6, 7], 3, [0, 0, 1, 0, 0, 0], 4)  # deg den > count
+@example([Fraction(1, 3)], Fraction(-2, 5), [Fraction(1, 7), 0, 0], 9)  # trailing zeros
 def test_series_matches_fraction_expansion(num, d0, tail, count):
     den = [d0] + tail
     series = series_from_rational(num, den, count)

@@ -4,8 +4,10 @@ primorial divisibility of transforms.
 The transform sends a sequence (a_n) to b_n = sum_k (-1)^(n-k) C(n,k) a_k,
 which is the n-th forward difference of a at 0: b is the leading column of
 the forward-difference table of a.  The inverse a_n = sum_k C(n,k) b_k
-rebuilds that table from its leading column by repeated partial sums.  All
-arithmetic is exact.
+rebuilds that table from its leading column by repeated partial sums, and
+since (-1)^n b_n = sum_k C(n,k) (-1)^k a_k, the same partial sums compute
+the forward transform between two sign alternations.  All arithmetic is
+exact.
 """
 from __future__ import annotations
 
@@ -31,30 +33,37 @@ def primorials(n_max: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _partial_sum_table(terms) -> list:
+    """sum_k C(n,k) t_k for n = 0..len(terms) - 1: the forward-difference
+    table with leading column ``terms`` rebuilt bottom row first, each row
+    its first entry followed by the partial sums of the row below it, about
+    N^2/2 additions run by ``accumulate``."""
+    row: list = []
+    for t in reversed(terms):
+        row = list(accumulate(row, initial=t))
+    return row
+
+
+def _alternate_signs(terms) -> list:
+    """(-1)^k t_k for every k."""
+    return [-t if k & 1 else t for k, t in enumerate(terms)]
+
+
 def binomial_transform(seq: ExactSequence) -> ExactSequence:
-    """b_n = sum_{k=0}^{n} (-1)^(n-k) C(n,k) a_k, computed exactly as the
-    leading column of the forward-difference table: b_n is the first entry
-    of the n-th difference row.  Every row below an all-zero row is zero,
-    so the table stops there and the column is filled up with zeros."""
-    row = list(seq.terms)
-    column = []
-    while any(row):
-        column.append(row[0])
-        row = [y - x for x, y in zip(row, row[1:])]
-    return ExactSequence.of(column + [0] * len(row))
+    """b_n = sum_{k=0}^{n} (-1)^(n-k) C(n,k) a_k, exactly.
+
+    (-1)^n b_n = sum_k C(n,k) (-1)^k a_k, so b is the inverse transform of
+    the sign-alternated terms with its signs alternated back: the same
+    partial sums as the inverse, one table of N^2/2 additions.
+    """
+    signed = _partial_sum_table(_alternate_signs(seq.terms))
+    return ExactSequence.of(_alternate_signs(signed))
 
 
 def inverse_binomial_transform(seq: ExactSequence) -> ExactSequence:
-    """a_n = sum_{k=0}^{n} C(n,k) b_k; exact inverse of the forward transform.
-
-    Rebuilds the forward-difference table from its leading column, bottom
-    row first: each row is its first entry b_k followed by the partial sums
-    of the row below it.
-    """
-    row: list = []
-    for b in reversed(seq.terms):
-        row = list(accumulate(row, initial=b))
-    return ExactSequence.of(row)
+    """a_n = sum_{k=0}^{n} C(n,k) b_k; exact inverse of the forward transform,
+    read off the partial-sum table of ``seq``."""
+    return ExactSequence.of(_partial_sum_table(seq.terms))
 
 
 def lower_triangular_rows(n: int) -> list[list[int]]:

@@ -45,7 +45,7 @@ LEJA_POINTS_LIMIT = 1024
 CANDIDATE_LIMIT = 10**6  # endpoints x discretization points per estimate
 CONGRUENCE_TERMS_LIMIT = 500  # terms; --mode full checks and may report N^2/2 pairs
 GEN_TERMS_LIMIT = 2000  # --n-max of gen; hall costs about N^3 digit operations
-TRANSFORM_TERMS_LIMIT = 1000  # terms; N^2/2 subtractions of terms up to 4,300 digits
+TRANSFORM_TERMS_LIMIT = 1000  # terms; N^2/2 additions of terms up to 4,300 digits
 
 
 def _read_text(path: str) -> str:

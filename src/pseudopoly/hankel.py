@@ -345,40 +345,66 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
     L_n H_n L_n^T: one conjugation at n_max decides every order, and an
     entry (i, j) that differs fails every order above max(i, j).  The
     determinants of the orders below the first entrywise failure are the
-    leading minors of the two Hankel matrices.
+    leading minors of the two Hankel matrices.  Both read only the first
+    2 n_max - 1 terms, and b_k depends on a_0 .. a_k alone, so only those
+    terms are transformed.
 
     The conjugation runs on rows packed into integers by Kronecker
     substitution at B = 2^K: a row (r_0 .. r_(n-1)) packs to sum_j r_j B^j.
-    Packed column k of L H is sum_m a_(k+m) (packed column m of L), and
-    packed row i of L H L^T = L (L H)^T is sum_(k <= i) L[i][k] (packed
-    column k of L H): O(n^2) big-integer products in all.  Row i of L has
-    absolute sum 2^i, so an entry of L H L^T is below 2^(2n-2+bits(a)) and
-    one of H(b) below 2^bits(b), bits() the largest bit length among the
-    first 2n - 1 terms; K = max(2n - 2 + bits(a), bits(b)) + 2 keeps every
-    entry of the difference of two packed rows strictly inside +-B/2.  The
-    lowest nonzero such digit d_j is not divisible by B, so the difference
-    is divisible by B^j but not by B^(j+1): it is 0 only if the rows agree
-    entrywise, and otherwise its lowest set bit, divided by K, is the first
-    column j that fails in row i.
+    Packed column k of L H is U_k = sum_m a_(k+m) P_m, P_m the packed
+    column m of L, and packed row i of L H L^T = L (L H)^T is
+    sum_(k <= i) L[i][k] U_k.  Each packed operand comes from the one
+    before it in O(n) big-integer steps, every division and shift exact,
+    with n = n_max, L[n] the next signed-binomial row and
+    E_k = sum_(m=1)^(n-1) a_(k+m) L[n][m]:
+
+        P_0 = (1 - (-B)^n) / (1 + B)
+        P_m = (B P_(m-1) - L[n][m] B^n) / (1 + B)     (Pascal's rule)
+        U_(k+1) = ((1 + B) U_k - a_k (1 - (-B)^n) + B^n E_k) / B
+                  + a_(k+n) P_(n-1)
+        R_i = (R_(i-1) - b_(i-1)) / B + b_(i+n-1) B^(n-1)   (rows of H(b))
+
+    Row i of L has absolute sum 2^i, so an entry of L H L^T is below
+    2^(2n-2+bits(a)) and one of H(b) below 2^bits(b), bits() the largest bit
+    length among the first 2n - 1 terms; K = max(2n - 2 + bits(a), bits(b))
+    + 2 keeps every entry of the difference of two packed rows strictly
+    inside +-B/2.  The lowest nonzero such digit d_j is not divisible by B,
+    so the difference is divisible by B^j but not by B^(j+1): it is 0 only
+    if the rows agree entrywise, and otherwise its lowest set bit, divided
+    by K, is the first column j that fails in row i.
     """
     if n_max < 1 or n_max > max_order(seq):
         raise InputError(
             f"n_max must be in 1..{max_order(seq)} for a prefix of length {len(seq)}"
         )
-    if not seq.is_integer:
-        # both checks are homogeneous, so scaling by the lcm of the
-        # denominators changes neither outcome
-        seq = ExactSequence(tuple(_clear_denominators(seq.terms)[0]))
-    a = seq.integer_terms()[: 2 * n_max - 1]
-    b = binomial_transform(seq).integer_terms()[: 2 * n_max - 1]
+    # both checks are homogeneous, so scaling by the lcm of the
+    # denominators changes neither outcome
+    a = _clear_denominators(seq.terms[: 2 * n_max - 1])[0]
+    b = binomial_transform(ExactSequence(a)).integer_terms()
     width = max(2 * n_max - 2 + max(map(int.bit_length, a)),
                 max(map(int.bit_length, b))) + 2
-    powers = [1 << (width * j) for j in range(n_max)]
+    top = width * n_max  # B^n = 1 << top
+    one_plus_b = 1 + (1 << width)
+    sign = -1 if n_max % 2 else 1  # (-1)^n
     l_rows = lower_triangular_rows(n_max)
-    l_cols = [sum(map(operator.mul, col, powers)) for col in zip(*l_rows)]
-    lh_cols = [sum(map(operator.mul, a[k:k + n_max], l_cols)) for k in range(n_max)]
-    diffs = (sum(map(operator.mul, row[:i + 1], lh_cols))
-             - sum(map(operator.mul, b[i:i + n_max], powers))
+    last = l_rows[-1]
+    l_next = [-last[0]] + [x - y for x, y in zip(last, last[1:])]
+    l_cols = [(1 - (sign << top)) // one_plus_b]
+    for m in range(1, n_max):
+        l_cols.append(((l_cols[-1] << width) - (l_next[m] << top)) // one_plus_b)
+    u = sum(map(operator.mul, a[:n_max], l_cols))
+    lh_cols = [u]
+    for k in range(n_max - 1):
+        e = sum(map(operator.mul, a[k + 1:k + n_max], l_next[1:]))
+        shifted = u + (u << width) - a[k] + ((sign * a[k] + e) << top)
+        u = (shifted >> width) + a[k + n_max] * l_cols[-1]
+        lh_cols.append(u)
+    r = sum(bj << (width * j) for j, bj in enumerate(b[:n_max]))
+    b_rows = [r]
+    for i in range(1, n_max):
+        r = ((r - b[i - 1]) >> width) + (b[i + n_max - 1] << (top - width))
+        b_rows.append(r)
+    diffs = (sum(map(operator.mul, row[:i + 1], lh_cols)) - b_rows[i]
              for i, row in enumerate(l_rows))
     entrywise = min((max(i, ((d & -d).bit_length() - 1) // width) + 1
                      for i, d in enumerate(diffs) if d), default=None)

@@ -113,18 +113,23 @@ def growth_rate(seq: ExactSequence) -> GrowthReport:
 def polynomial_certificate(seq: ExactSequence) -> int | None:
     """Smallest d whose order-(d+1) forward differences vanish on the prefix.
 
-    The forward differences of the prefix are the binomial transform read
-    down the difference table, so d is the index of the last nonzero
-    transform coefficient (0 when every coefficient is zero).  Demands at
-    least two zero witnesses (prefix length >= d + 3) to reduce false
-    positives; returns None when no such d exists.  A returned d is a
-    prefix-level certificate only, not a statement about the full sequence.
+    The difference rows are taken from the top down and stop at the first
+    all-zero row, (d + 2) N subtractions: every row below it is zero, and
+    the row above it is a nonzero constant, so d is the index of the last
+    nonzero binomial transform coefficient (0 when every coefficient is
+    zero).  Demands at least two zero witnesses (prefix length >= d + 3) to
+    reduce false positives; returns None when no such d exists.  A returned
+    d is a prefix-level certificate only, not a statement about the full
+    sequence.
     """
     n_terms = len(seq)
     if n_terms < 3:
         raise InputError("certificate needs at least 3 terms")
-    b = binomial_transform(seq)
-    d = max((k for k, bk in enumerate(b) if bk != 0), default=0)
+    row, nonzero_rows = list(seq.terms), 0
+    while any(row):
+        row = [y - x for x, y in zip(row, row[1:])]
+        nonzero_rows += 1
+    d = max(nonzero_rows - 1, 0)
     return d if d <= n_terms - 3 else None
 
 

@@ -5,14 +5,16 @@ denominators first, reads every Hankel determinant of a prefix and the
 integer recurrence of its last nonzero minor's order off one truncated
 subresultant pseudo-remainder sequence, checks transform invariance with
 one conjugation at the largest order on rows packed into integers, and
-reads the binomial transform, the polynomiality certificate and the
-power-of-(1 - x) test off one forward-difference table.  The routines below are the direct methods
-those replaced: Berlekamp-Massey over the rationals and a Gauss-Jordan
+reads the binomial transform off the partial-sum table of the inverse
+transform between two sign alternations, and the polynomiality certificate
+and the power-of-(1 - x) test off one forward-difference table.  The
+routines below are the direct methods those replaced: Berlekamp-Massey over the rationals and a Gauss-Jordan
 solve over the rationals for every candidate recurrence order, Gaussian
 elimination over the rationals, a fraction-free Bareiss elimination with
 row pivoting for every Hankel order, a conjugation by schoolbook matrix
 products for every order,
-explicit signed-binomial sums, an iterated-difference loop and synthetic
+explicit signed-binomial sums, the top-down difference rows that stop at
+the first all-zero row, an iterated-difference loop and synthetic
 division by (1 - x).  Valuations divide by p, p^2, p^4, ... and step back
 down, reports are written by a direct indent-2 writer, and their Hankel and
 congruence-violation rows by one f-string per row; the oracles here strip
@@ -434,6 +436,18 @@ def binomial_sums(terms: list) -> list:
         sum(math.comb(n, k) * terms[k] for k in range(n + 1))
         for n in range(len(terms))
     ]
+
+
+def transform_by_differences(terms: list) -> list:
+    """b_n as the leading column of the forward-difference table, its rows
+    taken from the top down; every row below an all-zero row is zero, so
+    the table stops there and the column is filled up with zeros."""
+    row = list(terms)
+    column = []
+    while any(row):
+        column.append(row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    return column + [0] * len(row)
 
 
 def certificate_by_differences(terms: list) -> int | None:

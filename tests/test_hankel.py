@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import hankel_rows, matmul, transpose, valuation_map
+from oracles import hankel_rows, invariance_by_order, matmul, transpose, valuation_map
 from pseudopoly import (
     AuditConfig,
     ExactSequence,
@@ -264,6 +264,46 @@ class TestTransformInvariance:
                                 calls.append(name) or original(*args))
         assert verify_transform_invariance(ExactSequence.of(CUBIC_40), 20).passed
         assert sorted(calls) == ["binomial_transform", "lower_triangular_rows"]
+
+    def test_long_prefix_transforms_only_the_terms_the_check_reads(self, monkeypatch):
+        rng = random.Random(59)
+        seq = ExactSequence.of([rng.randint(-10**6, 10**6) for _ in range(1000)])
+        expected = invariance_by_order(seq, 5)
+        lengths = []
+        original = hankel.binomial_transform
+        monkeypatch.setattr(hankel, "binomial_transform",
+                            lambda s: lengths.append(len(s)) or original(s))
+        assert verify_transform_invariance(seq, 5) == expected
+        assert lengths == [9]
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    @pytest.mark.parametrize("length", [5, 6, 7, 8])
+    @pytest.mark.parametrize("kind", ["integer", "zero_led", "fraction"])
+    def test_small_orders_match_the_oracle(self, n_max, length, kind, monkeypatch):
+        # n = 1, 2, 3 are the edges of P_0 = (1 - (-B)^n) / (1 + B) and of
+        # the (-B)^n term of the L H column recurrence, on odd and even N
+        rng = random.Random(n_max * 100 + length)
+        terms = [rng.randint(-99, 99) for _ in range(length)]
+        if kind == "zero_led":
+            terms[0] = 0
+        elif kind == "fraction":
+            terms = [Fraction(t, rng.randint(1, 7)) for t in terms]
+        seq = ExactSequence.of(terms)
+        report = verify_transform_invariance(seq, n_max)
+        assert report.passed
+        assert report == invariance_by_order(seq, n_max)
+        # and a perturbed last term the check reads fails at the same order
+        original = hankel.binomial_transform
+
+        def perturbed(s):
+            b = list(original(s))
+            b[2 * n_max - 2] += 1
+            return ExactSequence.of(b)
+
+        monkeypatch.setattr(hankel, "binomial_transform", perturbed)
+        report = verify_transform_invariance(seq, n_max)
+        assert report == invariance_by_order(seq, n_max)
+        assert report.first_failure == (n_max, "entrywise")
 
     def test_determinant_mismatch_is_reported_at_its_order(self, monkeypatch):
         # the determinant check guards the elimination itself: a wrong

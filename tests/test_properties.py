@@ -8,8 +8,8 @@ truncated subresultant remainder sequence (the Hankel table, detection's
 determinant evidence, memoized determinants, transform invariance) with a
 Bareiss elimination per order, and the forward-difference table
 (transform pair, polynomiality certificate, power-of-(1 - x) test) with
-explicit binomial sums, the iterated-difference loop and synthetic
-division.  Valuations are compared with one division by p at a time, the
+explicit binomial sums, the top-down difference rows, the
+iterated-difference loop and synthetic division.  Valuations are compared with one division by p at a time, the
 report writer with json's own indent-2 encoder, its Hankel and
 congruence-violation rows with one dict per row, the integer Taylor
 expansion with one in Fractions, the Hall-style generator with a
@@ -59,6 +59,7 @@ from oracles import (
     shares_direction_pairwise,
     signed_binomial_sums,
     squarefree_over_q,
+    transform_by_differences,
 )
 from pseudopoly import (
     DIRECTION_TOL,
@@ -292,9 +293,8 @@ def test_invariance_matches_conjugation_by_order(terms, cut):
 def width_from_a(seq, n_max):
     """The slot width of the packed conjugation when it is sized from a
     alone; the transform of an unperturbed prefix never widens it."""
-    if not seq.is_integer:
-        seq = ExactSequence(tuple(hankel._clear_denominators(seq.terms)[0]))
-    return 2 * n_max + max(abs(t).bit_length() for t in seq.terms[:2 * n_max - 1])
+    a = hankel._clear_denominators(seq.terms[:2 * n_max - 1])[0]
+    return 2 * n_max + max(abs(t).bit_length() for t in a)
 
 
 def transform_perturbed_by(deltas):
@@ -316,7 +316,8 @@ def transform_perturbed_by(deltas):
 def test_perturbed_transform_fails_at_the_oracles_order(terms, data):
     seq = ExactSequence.of(terms)
     n_max = data.draw(st.integers(1, max_order(seq)))
-    index = data.draw(st.integers(0, len(seq) - 1))
+    # the check transforms and reads only the first 2 n_max - 1 terms
+    index = data.draw(st.integers(0, 2 * n_max - 2))
     # small amounts, and powers of two at and beyond the slot width
     width = width_from_a(seq, n_max)
     delta = data.draw(st.one_of(
@@ -330,9 +331,7 @@ def test_perturbed_transform_fails_at_the_oracles_order(terms, data):
         expected = invariance_by_order(seq, n_max)
     assert report == expected
     # term i + j of H(b) fails every order above max(i, j) >= ceil(index / 2)
-    order = (index + 1) // 2 + 1
-    if order <= n_max:
-        assert report.first_failure == (order, "entrywise")
+    assert report.first_failure == ((index + 1) // 2 + 1, "entrywise")
 
 
 @PROPERTY
@@ -417,6 +416,28 @@ def test_transform_that_stops_at_a_zero_row_matches_binomial_sums(coeffs, length
         sum(c * n**k for k, c in enumerate(coeffs)) for n in range(length)
     ]
     assert list(binomial_transform(ExactSequence.of(terms))) == signed_binomial_sums(terms)
+
+
+@PROPERTY
+@given(st.one_of(
+    st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=300),
+    st.builds(lambda coeffs, length: [sum(c * n**k for k, c in enumerate(coeffs))
+                                      for n in range(length)],
+              st.lists(st.integers(-9, 9), max_size=12), st.integers(1, 300)),
+    st.lists(fractions, min_size=1, max_size=60),
+    zero_led,
+    st.builds(lambda zeros, tail: [0] * zeros + tail,
+              st.integers(1, 40), st.lists(fractions, max_size=20)),
+))
+@example([0])  # a single term, zero
+@example([0] * 300)  # all zero
+@example([-5])  # a single nonzero term
+@example([Fraction(1, 3)])
+def test_transform_matches_top_down_differences(terms):
+    b = binomial_transform(ExactSequence.of(terms))
+    expected = ExactSequence.of(transform_by_differences(terms))
+    assert b == expected
+    assert [type(t) for t in b] == [type(t) for t in expected]
 
 
 @st.composite

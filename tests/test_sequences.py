@@ -15,7 +15,7 @@ from pseudopoly import (
     growth_rate,
     polynomial_certificate,
 )
-from pseudopoly import sequences
+from pseudopoly import binomial, sequences
 
 CUBIC = IntPolynomial.of([2, -7, 0, 1])  # x^3 - 7x + 2
 
@@ -153,6 +153,18 @@ class TestPolynomialCertificate:
         # degree 3 needs at least 6 terms for two vanishing witnesses
         seq = eval_polynomial_sequence(CUBIC, 5)
         assert polynomial_certificate(seq) is None
+
+    def test_never_runs_the_full_transform(self, monkeypatch):
+        # the certificate stops at the first all-zero difference row; the
+        # transform's partial-sum table starts from the last term and cannot
+        def forbidden(seq):
+            raise AssertionError("polynomial_certificate ran binomial_transform")
+
+        monkeypatch.setattr(sequences, "binomial_transform", forbidden)
+        monkeypatch.setattr(binomial, "binomial_transform", forbidden)
+        assert polynomial_certificate(eval_polynomial_sequence(CUBIC, 40)) == 3
+        assert polynomial_certificate(ExactSequence.of([0] * 9)) == 0
+        assert polynomial_certificate(ExactSequence.of([1, 2, 4, 8, 16, 32])) is None
 
 
 class TestGeneratePrimary:

@@ -76,6 +76,18 @@ def as_exact(value) -> Exact:
     )
 
 
+def as_exact_int(value, what: str) -> int:
+    """``value`` as an exact int; an InputError names ``what`` and the value
+    when as_exact rejects it or gives a non-integral Fraction."""
+    try:
+        exact = as_exact(value)
+    except InputError:
+        exact = None
+    if not isinstance(exact, int):
+        raise InputError(f"{what} {value!r} is not an integer")
+    return exact
+
+
 class ExactSequence:
     """A finite prefix of a sequence with exact rational terms.
 
@@ -159,13 +171,7 @@ class IntPolynomial(NamedTuple("IntPolynomial", [("coefficients", tuple)])):
 
     @classmethod
     def of(cls, values: Iterable) -> "IntPolynomial":
-        out = []
-        for v in values:
-            e = as_exact(v)
-            if not isinstance(e, int):
-                raise InputError(f"polynomial coefficient {v!r} is not an integer")
-            out.append(e)
-        return cls(tuple(out))
+        return cls(tuple(as_exact_int(v, "polynomial coefficient") for v in values))
 
     @property
     def degree(self) -> int:

@@ -351,18 +351,16 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
 
     The conjugation runs on rows packed into integers by Kronecker
     substitution at B = 2^K: a row (r_0 .. r_(n-1)) packs to sum_j r_j B^j.
-    Packed column k of L H is U_k = sum_m a_(k+m) P_m, P_m the packed
-    column m of L, and packed row i of L H L^T = L (L H)^T is
-    sum_(k <= i) L[i][k] U_k.  Each packed operand comes from the one
-    before it in O(n) big-integer steps, every division and shift exact,
-    with n = n_max, L[n] the next signed-binomial row and
-    E_k = sum_(m=1)^(n-1) a_(k+m) L[n][m]:
+    Row j of L takes the j-th forward difference D^j at 0, so column k of
+    L H packs the differences of a at k, U_k = sum_(j < n) D^j a_k B^j, and
+    packed row i of L H L^T = L (L H)^T is D^i of U_0, U_1, ... at 0.  With
+    n = n_max, U_0 and each D^n a_k are read off rows 0 .. n of L, and
+    Pascal's rule D^j a_(k+1) = D^j a_k + D^(j+1) a_k gives each packed
+    operand from the one before it in O(n) big-integer steps, every shift
+    exact:
 
-        P_0 = (1 - (-B)^n) / (1 + B)
-        P_m = (B P_(m-1) - L[n][m] B^n) / (1 + B)     (Pascal's rule)
-        U_(k+1) = ((1 + B) U_k - a_k (1 - (-B)^n) + B^n E_k) / B
-                  + a_(k+n) P_(n-1)
-        R_i = (R_(i-1) - b_(i-1)) / B + b_(i+n-1) B^(n-1)   (rows of H(b))
+        U_(k+1) = U_k + (U_k - a_k) / B + D^n a_k B^(n-1)   (columns of L H)
+        R_i = (R_(i-1) - b_(i-1)) / B + b_(i+n-1) B^(n-1)    (rows of H(b))
 
     Row i of L has absolute sum 2^i, so an entry of L H L^T is below
     2^(2n-2+bits(a)) and one of H(b) below 2^bits(b), bits() the largest bit
@@ -383,29 +381,21 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
     b = binomial_transform(ExactSequence(a)).integer_terms()
     width = max(2 * n_max - 2 + max(map(int.bit_length, a)),
                 max(map(int.bit_length, b))) + 2
-    top = width * n_max  # B^n = 1 << top
-    one_plus_b = 1 + (1 << width)
-    sign = -1 if n_max % 2 else 1  # (-1)^n
-    l_rows = lower_triangular_rows(n_max)
-    last = l_rows[-1]
-    l_next = [-last[0]] + [x - y for x, y in zip(last, last[1:])]
-    l_cols = [(1 - (sign << top)) // one_plus_b]
-    for m in range(1, n_max):
-        l_cols.append(((l_cols[-1] << width) - (l_next[m] << top)) // one_plus_b)
-    u = sum(map(operator.mul, a[:n_max], l_cols))
+    shift = width * (n_max - 1)  # B^(n-1) = 1 << shift
+    *l_rows, l_top = lower_triangular_rows(n_max + 1)
+    u = sum(sum(map(operator.mul, row, a)) << (width * j)
+            for j, row in enumerate(l_rows))
     lh_cols = [u]
     for k in range(n_max - 1):
-        e = sum(map(operator.mul, a[k + 1:k + n_max], l_next[1:]))
-        shifted = u + (u << width) - a[k] + ((sign * a[k] + e) << top)
-        u = (shifted >> width) + a[k + n_max] * l_cols[-1]
+        u += ((u - a[k]) >> width) + (sum(map(operator.mul, l_top, a[k:])) << shift)
         lh_cols.append(u)
     r = sum(bj << (width * j) for j, bj in enumerate(b[:n_max]))
-    b_rows = [r]
+    diffs = [lh_cols[0] - r]
+    diff_row = lh_cols
     for i in range(1, n_max):
-        r = ((r - b[i - 1]) >> width) + (b[i + n_max - 1] << (top - width))
-        b_rows.append(r)
-    diffs = (sum(map(operator.mul, row[:i + 1], lh_cols)) - b_rows[i]
-             for i, row in enumerate(l_rows))
+        r = ((r - b[i - 1]) >> width) + (b[i + n_max - 1] << shift)
+        diff_row = list(map(operator.sub, diff_row[1:], diff_row))
+        diffs.append(diff_row[0] - r)
     entrywise = min((max(i, ((d & -d).bit_length() - 1) // width) + 1
                      for i, d in enumerate(diffs) if d), default=None)
     agreed = n_max if entrywise is None else entrywise - 1

@@ -18,6 +18,7 @@ from .core import (
     IntPolynomial,
     InputError,
     InternalInvariantError,
+    as_exact_int,
     root_abs_exact,
 )
 from .primes import sieve_primes
@@ -145,7 +146,7 @@ def generate_primary(coeffs: Sequence[int] | ExactSequence, length: int) -> Exac
     if isinstance(coeffs, ExactSequence):
         c = coeffs.integer_terms()
     else:
-        c = [int(v) for v in coeffs]
+        c = [as_exact_int(v, "coefficient") for v in coeffs]
     if len(c) < length:
         raise InputError(f"need at least {length} coefficients, got {len(c)}")
     table = primorials(length - 1)
@@ -179,7 +180,7 @@ def generate_hall_like(length: int, perturbation: Sequence[int]) -> ExactSequenc
     """
     if length < 1:
         raise InputError("length must be >= 1")
-    pert = [int(v) for v in perturbation]
+    pert = [as_exact_int(v, "perturbation entry") for v in perturbation]
     if len(pert) < length:
         raise InputError(f"need at least {length} perturbation entries, got {len(pert)}")
     moduli = [1]  # lcm(1..n) for n = 0..length-1

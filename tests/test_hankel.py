@@ -280,8 +280,8 @@ class TestTransformInvariance:
     @pytest.mark.parametrize("length", [5, 6, 7, 8])
     @pytest.mark.parametrize("kind", ["integer", "zero_led", "fraction"])
     def test_small_orders_match_the_oracle(self, n_max, length, kind, monkeypatch):
-        # n = 1, 2, 3 are the edges of P_0 = (1 - (-B)^n) / (1 + B) and of
-        # the (-B)^n term of the L H column recurrence, on odd and even N
+        # n = 1 makes no shift of the L H columns, and from n = 2 the last
+        # shift, k = n - 2, reads a_(2n-2) through row n of L; odd and even N
         rng = random.Random(n_max * 100 + length)
         terms = [rng.randint(-99, 99) for _ in range(length)]
         if kind == "zero_led":
@@ -304,6 +304,33 @@ class TestTransformInvariance:
         report = verify_transform_invariance(seq, n_max)
         assert report == invariance_by_order(seq, n_max)
         assert report.first_failure == (n_max, "entrywise")
+
+    @pytest.mark.parametrize("index", [None, 120, 59, 60])
+    def test_top_order_of_a_long_prefix_matches_the_schoolbook_conjugation(
+        self, index, monkeypatch
+    ):
+        # 64-bit terms at N = 121, past the orders the properties draw; a
+        # perturbed b_index first enters H(b) at order (index + 1) // 2 + 1
+        rng = random.Random(61)
+        terms = [rng.randint(-2**63, 2**63) for _ in range(121)]
+        seq = ExactSequence.of(terms)
+        n = 61
+        l_rows = lower_triangular_rows(n)
+        conjugated = matmul(matmul(l_rows, hankel_rows(terms, n)), transpose(l_rows))
+        b = list(binomial_transform(seq))
+        if index is not None:
+            b[index] += 1
+            monkeypatch.setattr(hankel, "binomial_transform", lambda s: ExactSequence.of(b))
+        h_b = hankel_rows(b, n)
+        first = next((m for m in range(1, n + 1)
+                      if any(conjugated[i][:m] != h_b[i][:m] for i in range(m))), None)
+        report = verify_transform_invariance(seq, n)
+        if index is None:
+            assert first is None
+            assert report == (True, n, None)
+        else:
+            assert first == (index + 1) // 2 + 1
+            assert report == (False, n, (first, "entrywise"))
 
     def test_determinant_mismatch_is_reported_at_its_order(self, monkeypatch):
         # the determinant check guards the elimination itself: a wrong

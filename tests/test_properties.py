@@ -409,7 +409,7 @@ def test_transform_pair_matches_binomial_sums(terms):
 @example([], 12, 0)  # all zero
 @example([7], 1, 0)  # a single term
 @example([5], 1, 3)  # one nonzero term, the last one
-def test_transform_that_stops_at_a_zero_row_matches_binomial_sums(coeffs, length, leading):
+def test_polynomial_and_zero_led_prefixes_match_binomial_sums(coeffs, length, leading):
     # polynomial values: the difference rows vanish after deg + 1 steps, or
     # never within a short prefix; ``leading`` zeros move the first nonzero term
     terms = [0] * leading + [

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -230,6 +232,22 @@ class TestGenerateHallLike:
         monkeypatch.setattr(sequences.math, "lcm", lambda *args: 1)
         with pytest.raises(InternalInvariantError, match="constraint"):
             generate_hall_like(6, [1, 0, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, Fraction(1, 2)])
+def test_generators_reject_entries_that_are_not_integers(bad):
+    # none of these may be truncated to an integer
+    entries = [1, 0, bad, 0]
+    with pytest.raises(InputError, match=re.escape(f"coefficient {bad!r} is not an integer")):
+        generate_primary(entries, 4)
+    with pytest.raises(InputError, match=re.escape(f"perturbation entry {bad!r} is not")):
+        generate_hall_like(4, entries)
+
+
+def test_generators_accept_exact_integer_entries():
+    entries = [1, "3", Fraction(4, 2), 0]
+    assert generate_primary(entries, 4) == generate_primary([1, 3, 2, 0], 4)
+    assert generate_hall_like(4, entries) == generate_hall_like(4, [1, 3, 2, 0])
 
 
 def test_growth_of_hall_sequences_is_finite():

@@ -46,6 +46,7 @@ CANDIDATE_LIMIT = 10**6  # endpoints x discretization points per estimate
 CONGRUENCE_TERMS_LIMIT = 500  # terms; --mode full checks and may report N^2/2 pairs
 GEN_TERMS_LIMIT = 2000  # --n-max of gen; hall costs about N^3 digit operations
 TRANSFORM_TERMS_LIMIT = 1000  # terms; N^2/2 additions of terms up to 4,300 digits
+INVARIANCE_TERMS_LIMIT = 500  # terms; N^2/8 subtractions of packed rows of about N^2/2 bits
 
 
 def _read_text(path: str) -> str:
@@ -150,7 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
     h_table = h_sub.add_parser("table", parents=[seq_in])
     h_table.add_argument("--n-max", type=int, default=None)
     _add_format(h_table, ["csv", "json"], "csv")
-    h_inv = h_sub.add_parser("verify-invariance", parents=[seq_in])
+    h_inv = h_sub.add_parser(
+        "verify-invariance", parents=[seq_in],
+        description=f"The sequence may have at most {INVARIANCE_TERMS_LIMIT} terms.",
+    )
     h_inv.add_argument("--n-max", type=int, default=None)
     _add_format(h_inv, ["json"], "json")
     h_div = h_sub.add_parser("verify-divisibility", parents=[seq_in])
@@ -268,6 +272,7 @@ def _cmd_hankel(args) -> int:
     seq = _read_sequence(args)
     n_max = args.n_max if args.n_max is not None else max_order(seq)
     if args.action == "verify-invariance":
+        _check_limit("sequence length", len(seq), INVARIANCE_TERMS_LIMIT)
         report = verify_transform_invariance(seq, n_max)
         _emit(formats.dumps(formats.invariance_json_obj(report)))
         return OK if report.passed else PROPERTY_FAILED

@@ -70,7 +70,11 @@ def as_exact(value) -> Exact:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
-        return as_exact(Fraction(value))
+        try:
+            exact = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"not an exact number: {value!r}") from None
+        return as_exact(exact)
     raise InputError(
         f"exact value required (int, Fraction or string), got {type(value).__name__}"
     )

@@ -14,6 +14,7 @@ from pseudopoly.hankel import HankelRecord, InvarianceReport
 from pseudopoly.cli import (
     CONGRUENCE_TERMS_LIMIT,
     GEN_TERMS_LIMIT,
+    INVARIANCE_TERMS_LIMIT,
     TRANSFORM_TERMS_LIMIT,
     run_cli,
 )
@@ -235,6 +236,22 @@ class TestHankelCommands:
         path = write_sequence(tmp_path, "fib.txt", fibonacci(21))
         assert run_cli(["hankel", "verify-invariance", "--n-max", "10", "--input", path]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    def test_invariance_length_guard(self, tmp_path, capsys):
+        terms = [n * n for n in range(INVARIANCE_TERMS_LIMIT + 1)]
+        at_limit = write_sequence(tmp_path, "at.txt", terms[:-1])
+        assert run_cli(["hankel", "verify-invariance", "--input", at_limit]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is True
+        assert report["checked_max"] == (INVARIANCE_TERMS_LIMIT + 1) // 2
+        over = write_sequence(tmp_path, "over.txt", terms)
+        assert run_cli(["hankel", "verify-invariance", "--input", over]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sequence length")
+        assert "exceeds the limit" in captured.err
+        assert run_cli(["hankel", "verify-invariance", "--help"]) == 0
+        assert f"at most {INVARIANCE_TERMS_LIMIT} terms" in capsys.readouterr().out
 
     def test_table_csv_columns(self, tmp_path, capsys):
         path = write_sequence(tmp_path, "fib.txt", fibonacci(9))

@@ -290,6 +290,17 @@ def test_invariance_matches_conjugation_by_order(terms, cut):
     assert verify_transform_invariance(seq, n_max) == invariance_by_order(seq, n_max)
 
 
+@PROPERTY
+@given(invariance_prefixes)
+def test_transform_keeps_every_leading_minor(terms):
+    # the invariance check computes no determinant, since det L_n = 1 makes
+    # equal minors follow from the conjugation; the elimination keeps them
+    a = hankel._clear_denominators(ExactSequence.of(terms).terms)[0]
+    b = binomial_transform(ExactSequence(a)).integer_terms()
+    n = max_order(ExactSequence(a))
+    assert hankel._leading_minors(a, n)[0] == hankel._leading_minors(b, n)[0]
+
+
 def width_from_a(seq, n_max):
     """The slot width of the packed conjugation when it is sized from a
     alone; the transform of an unperturbed prefix never widens it."""

@@ -120,6 +120,12 @@ def test_a_sequence_is_not_the_tuple_of_its_terms():
         del seq.terms
 
 
+@pytest.mark.parametrize("text", ["x", "1/0", "nan"])
+def test_a_string_that_is_no_exact_number_is_an_input_error(text):
+    with pytest.raises(InputError, match=f"not an exact number: '{text}'"):
+        ExactSequence.of([1, text])
+
+
 def test_replace_builds_through_the_validating_constructor():
     assert IntPolynomial.of([1, 2])._replace(coefficients=(3, 0)) == IntPolynomial.of([3])
     func = VALUES["rational"][0]

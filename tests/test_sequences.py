@@ -234,7 +234,7 @@ class TestGenerateHallLike:
             generate_hall_like(6, [1, 0, 0, 0, 0, 0])
 
 
-@pytest.mark.parametrize("bad", [0.5, 2.0, True, Fraction(1, 2)])
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, Fraction(1, 2), "x"])
 def test_generators_reject_entries_that_are_not_integers(bad):
     # none of these may be truncated to an integer
     entries = [1, 0, bad, 0]

@@ -294,24 +294,33 @@ def singular_directions(function: RationalFunction) -> SingularityReport:
     Multiplicities are obtained exactly (squarefree decomposition over the
     integers), so the root finder only ever sees simple roots: each
     primitive factor divided by its leading coefficient, as correctly
-    rounded quotients of ints.  Each root must pass a relative residual
-    test at RESIDUAL_TOL or NumericError is raised.  Directions are
-    principal arguments clustered at DIRECTION_TOL; the radius is the
-    smallest pole modulus.
+    rounded quotients of ints.  A linear factor c0 + c1 x needs no root
+    finder: its pole is the correctly rounded -(c0 / c1), and +0.0 where
+    that underflows.  ``np.roots`` returns the same double wherever
+    |c0 / c1| lies between about 2^-459 and 2^459; beyond, LAPACK's
+    rescaling can leave its root one ulp off.  Each root of a factor of
+    higher degree must pass a relative residual test at RESIDUAL_TOL or
+    NumericError is raised.  Directions are principal arguments clustered
+    at DIRECTION_TOL; the radius is the smallest pole modulus.
     """
-    # Imported here, not at module level: only a detected function with a
-    # pole needs it, so every other command starts without numpy.
-    import numpy as np
-
     den = function.denominator
     if den.degree < 1:
         raise InputError("denominator must have degree >= 1")
     poles: list[tuple[complex, int]] = []
     for factor, multiplicity in squarefree_factors(from_int_polynomial(den)):
         try:
-            coeffs = np.array([c / factor[-1] for c in reversed(factor)])
+            coeffs = [c / factor[-1] for c in reversed(factor)]
         except OverflowError as exc:
             raise NumericError(f"a denominator factor is past the float range: {exc}") from exc
+        if len(coeffs) == 2:
+            poles.append((complex(-coeffs[1] or 0.0), multiplicity))
+            continue
+        # Imported here, not at module level: only a factor of degree >= 2
+        # needs the root finder, so every other command, polynomial audits
+        # included, starts without numpy.
+        import numpy as np
+
+        coeffs = np.array(coeffs)
         roots = np.roots(coeffs)
         scale = float(np.max(np.abs(coeffs)))
         deg = len(coeffs) - 1

@@ -13,7 +13,7 @@ not integral.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -88,12 +88,23 @@ def derivative(p: list[int]) -> list[int]:
 
 def squarefree_factors(p: list[int]) -> list[tuple[list[int], int]]:
     """Yun's decomposition (1976) over the integers: primitive squarefree
-    factors with positive leading coefficients, and their multiplicities.
+    factors with positive leading coefficients, and their multiplicities,
+    in ascending order of multiplicity.
 
     The product of factor^multiplicity is the primitive part of p with a
-    positive leading coefficient.
+    positive leading coefficient.  The root x = 1, the one pole of every
+    polynomial's generating function, is split off first: while the
+    coefficients sum to 0, synthetic division by x - 1 (suffix sums) counts
+    its multiplicity m, and Yun's loop runs on the cofactor only (not at
+    all when that is a constant).  x - 1 is then multiplied into the
+    cofactor's factor of multiplicity m, or stands alone, so the factors are
+    exactly Yun's on p.
     """
     b = _primitive(p)
+    m = 0
+    while b and not sum(b):
+        b = list(accumulate(reversed(b[1:])))[::-1]
+        m += 1
     d = derivative(b)
     factors = []
     # pass 0 divides out gcd(p, p'), Yun's initial step; pass i then splits
@@ -107,6 +118,13 @@ def squarefree_factors(p: list[int]) -> list[tuple[list[int], int]]:
         c = _exact_quotient(d, f)
         d = trim([x - y for x, y in zip_longest(c, derivative(b), fillvalue=0)])
         i += 1
+    if m:
+        k = sum(i < m for _, i in factors)
+        if k < len(factors) and factors[k][1] == m:
+            f = factors[k][0]
+            factors[k] = ([x - y for x, y in zip([0] + f, f + [0])], m)
+        else:
+            factors.insert(k, ([-1, 1], m))
     return factors
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from pseudopoly import (
     Hedgehog,
     InputError,
     IntPolynomial,
+    NumericError,
     RationalFunction,
     asymptotic_ratio,
     chebyshev_theta,
@@ -288,6 +290,21 @@ class TestSingularDirections:
                     assert any(
                         abs(other + d) <= 1e-6 for other in report.directions
                     )
+
+    def test_linear_poles_are_correctly_rounded_quotients(self):
+        # for 1 + 3^302 x, np.roots (LAPACK rescales at that scale) returns a
+        # root one ulp off -1/3^302; the closed form is exact to the bit
+        for den in ([1, 3**302], [5, -7], [2**70 + 1, -(3**40)], [1, 2**1100]):
+            func = RationalFunction(IntPolynomial.of([1]), IntPolynomial.of(den), 1)
+            [(pole, multiplicity)] = singular_directions(func).poles
+            expected = float(Fraction(-den[0], den[1])) or 0.0  # +0.0 on underflow
+            assert (pole.real.hex(), pole.imag.hex(), multiplicity) == (
+                expected.hex(), (0.0).hex(), 1)
+
+    def test_linear_pole_past_the_float_range_is_a_numeric_error(self):
+        func = RationalFunction(IntPolynomial.of([1]), IntPolynomial.of([2**1100, 1]), 1)
+        with pytest.raises(NumericError, match="a denominator factor is past the float range"):
+            singular_directions(func)
 
     def test_constant_denominator_rejected(self):
         func = RationalFunction(IntPolynomial.of([0, 1]), IntPolynomial.of([1]), 1)

@@ -14,6 +14,7 @@ from pseudopoly.hankel import HankelRecord, InvarianceReport
 from pseudopoly.cli import (
     CONGRUENCE_TERMS_LIMIT,
     GEN_TERMS_LIMIT,
+    INVARIANCE_ROW_BITS_LIMIT,
     INVARIANCE_TERMS_LIMIT,
     TRANSFORM_TERMS_LIMIT,
     run_cli,
@@ -251,7 +252,24 @@ class TestHankelCommands:
         assert captured.err.startswith("error: sequence length")
         assert "exceeds the limit" in captured.err
         assert run_cli(["hankel", "verify-invariance", "--help"]) == 0
-        assert f"at most {INVARIANCE_TERMS_LIMIT} terms" in capsys.readouterr().out
+        help_text = " ".join(capsys.readouterr().out.split())  # as wrapped at any width
+        assert f"at most {INVARIANCE_TERMS_LIMIT} terms" in help_text
+
+    def test_invariance_cost_guard(self, tmp_path, capsys):
+        # 100 terms of 8,001 bits: n_max = 50 packs rows of 50 * (100 + 8001)
+        # bits, past the limit; n_max = 40 packs 40 * (80 + 8001)
+        path = write_sequence(tmp_path, "wide.txt", [2**8000 + n for n in range(100)])
+        assert 40 * (80 + 8001) <= INVARIANCE_ROW_BITS_LIMIT < 50 * (100 + 8001)
+        assert run_cli(["hankel", "verify-invariance", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: packed row bits {50 * (100 + 8001)} exceeds the limit")
+        assert run_cli(["hankel", "verify-invariance", "--n-max", "40", "--input", path]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert run_cli(["hankel", "verify-invariance", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())  # as wrapped at any width
+        assert f"at most {INVARIANCE_ROW_BITS_LIMIT} bits" in help_text
 
     def test_table_csv_columns(self, tmp_path, capsys):
         path = write_sequence(tmp_path, "fib.txt", fibonacci(9))

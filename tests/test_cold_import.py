@@ -1,14 +1,17 @@
 """Start-up cost: what a fresh interpreter loads for each kind of command.
 
 numpy is imported only by the two routines that call it, the root finder
-behind ``singular_directions`` and the Leja estimator behind ``capacity
-estimate``, so every other command starts without it.  ``decimal`` is
-imported by ``core.exact_str`` only for ints past the interpreter's
-int-to-str digit limit.  The records are ``NamedTuple`` types, so neither
-the import nor those commands load ``dataclasses`` or ``inspect`` (numpy
-loads ``inspect`` itself).  This process has long since loaded all of them
-(pytest, hypothesis and numpy-using tests), so each check runs in a fresh
-interpreter (``sys.executable``) that reports back one JSON object.
+behind ``singular_directions`` for a squarefree denominator factor of
+degree 2 or more, and the Leja estimator behind ``capacity estimate``, so
+every other command starts without it.  A linear factor's pole has a
+closed form, so polynomial audits (one pole, x = 1) and order-1 C-finite
+audits never load it.  ``decimal`` is imported by ``core.exact_str`` only
+for ints past the interpreter's int-to-str digit limit.  The records are
+``NamedTuple`` types, so neither the import nor those commands load
+``dataclasses`` or ``inspect`` (numpy loads ``inspect`` itself).  This
+process has long since loaded all of them (pytest, hypothesis and
+numpy-using tests), so each check runs in a fresh interpreter
+(``sys.executable``) that reports back one JSON object.
 """
 import contextlib
 import hashlib
@@ -120,9 +123,13 @@ NUMPY_FREE = [
     ("congruences-hall", ["check", "congruences", "--mode", "full"], HALL),
     (None, ["hankel", "verify-invariance"], HALL),
     ("audit-json-primary", ["audit", "--format", "json"], _generated("primary")),
+    ("audit-json-cubic", ["audit", "--format", "json"],
+     "".join(f"{t}\n" for t in _fixed_inputs()["cubic"])),
+    # 2^n: the denominator 1 - 2x has one linear factor
+    (None, ["audit", "--format", "json"], "".join(f"{2**n}\n" for n in range(40))),
 ]
-# A C-finite audit whose detected denominator, 1 - x - x^2, has two poles,
-# and the Leja estimator.
+# A C-finite audit whose detected denominator, 1 - x - x^2, is a squarefree
+# factor of degree 2, and the Leja estimator.
 ROOT_FINDERS = [
     ("audit-json-fibonacci", ["audit", "--format", "json"],
      "".join(f"{t}\n" for t in _fixed_inputs()["fibonacci"])),

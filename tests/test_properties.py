@@ -579,6 +579,10 @@ def test_integer_gcd_matches_euclid_over_q(common, p, q):
 @example([-6])
 @example(mul([-2], mul([1, -1], [1, -1])))
 @example(mul([3, -10**20], mul([3, -10**20], [7, 0, 5])))
+@example(mul([1, -1], mul([1, -1], [-1, 1])))  # (x - 1)^3 alone
+@example([1, 0, 0, -1])  # 1 - x^3: x - 1 joins the cubic factor
+@example(mul(mul([1, -1], [1, -1]), mul([1, 1, 1], [1, 1, 1])))  # (1 - x)^2 (1 + x + x^2)^2
+@example(mul(mul([1, -1], mul([1, -1], [1, -1])), [2, 1]))  # (1 - x)^3 (x + 2)
 def test_integer_squarefree_matches_yun_over_q(p):
     factors = squarefree_factors(p)
     assert [(monic(f), m) for f, m in factors] == squarefree_over_q(p)
@@ -592,6 +596,8 @@ def test_integer_squarefree_matches_yun_over_q(p):
 @example(mul([1, -1, 0, -2], [1, -1, 0, -2]))  # (1 - x - 2x^3)^2
 @example([1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 3])  # leading coefficient 3
 @example([1, 2**60 + 32, 3])  # float(c) / float(3) is not c / 3 here
+@example([1, 2**1100])  # the linear pole underflows: +0.0, as np.roots gives
+@example([1, -2**1100])
 def test_singular_directions_see_the_oracles_doubles(den):
     den = [-c for c in den] if den[0] < 0 else den
     expected = []

@@ -15,7 +15,7 @@ Exact = Union[int, Fraction]
 
 def log_abs_exact(value: "Exact") -> float:
     """Natural log of |value| for a nonzero exact number of any magnitude."""
-    if isinstance(value, Fraction):
+    if type(value) is not int and isinstance(value, Fraction):
         return math.log(abs(value.numerator)) - math.log(value.denominator)
     return math.log(abs(value))
 
@@ -92,25 +92,34 @@ def as_exact_int(value, what: str) -> int:
     return exact
 
 
+_EXACT_TYPES = {int, Fraction}
+
+
 class ExactSequence:
     """A finite prefix of a sequence with exact rational terms.
 
     Terms are stored as ``int`` when integral, ``Fraction`` otherwise; no
-    floating point is ever accepted.
+    floating point is ever accepted.  The terms' types are checked once, on
+    construction, which also sets the ``is_integer`` slot: whether every
+    term is an int, as ``all(isinstance(t, int) for t in terms)`` says.
     """
 
-    __slots__ = ("terms",)  # not a tuple: len, [] and iter read the terms
+    # not a tuple: len, [] and iter read the terms
+    __slots__ = ("terms", "is_integer")
 
     def __init__(self, terms: Iterable[Exact]):
         terms = tuple(terms)
         if len(terms) < 1:
             raise InputError("a sequence needs at least one term")
-        for t in terms:
-            if isinstance(t, bool) or not isinstance(t, (int, Fraction)):
-                raise InputError(
-                    f"sequence terms must be exact, got {type(t).__name__}"
-                )
+        kinds = set(map(type, terms))
+        if not kinds <= _EXACT_TYPES:  # subclasses, or a term that is not exact
+            for t in terms:
+                if isinstance(t, bool) or not isinstance(t, (int, Fraction)):
+                    raise InputError(
+                        f"sequence terms must be exact, got {type(t).__name__}"
+                    )
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "is_integer", all(issubclass(k, int) for k in kinds))
 
     def __setattr__(self, name, *value):  # immutable: the Hankel memo keys on identity
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -142,10 +151,6 @@ class ExactSequence:
 
     def __getitem__(self, index):
         return self.terms[index]
-
-    @property
-    def is_integer(self) -> bool:
-        return all(isinstance(t, int) for t in self.terms)
 
     def integer_terms(self) -> list[int]:
         """The terms as plain ints; raises if any term is a true fraction."""

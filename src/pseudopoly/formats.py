@@ -26,6 +26,7 @@ from .sequences import CongruenceReport
 # A decimal integer is an optional minus sign and ASCII digits, nothing
 # else: no "+", no "_" separators, no surrounding spaces, no other digits.
 _DECIMAL = re.compile(r"-?[0-9]+")
+_DECIMAL_LINES = re.compile(r"-?[0-9]+(?:\n-?[0-9]+)*")
 
 
 def _digit_limit(what: str) -> InputError:
@@ -73,24 +74,33 @@ def _parse_json_integers(text: str, what: str, not_array: str, entries: str) -> 
 
 
 def parse_sequence(text: str) -> ExactSequence:
-    """Read the shared sequence format (newline integers or JSON strings)."""
+    """Read the shared sequence format (newline integers or JSON strings).
+
+    Newline input is split as str.splitlines splits it; each line is
+    stripped and blank lines are skipped.  One match over the kept lines,
+    joined by newlines, checks them all at once.  Only input it rejects is
+    read line by line again, so that the error names the first line that is
+    not a decimal integer, or the first integer past the interpreter's
+    digit limit if that comes before it.
+    """
     stripped = text.strip()
     if not stripped:
         raise InputError("empty sequence input")
     if stripped[0] == "[":
-        return ExactSequence.of(_parse_json_integers(
+        return ExactSequence(_parse_json_integers(
             stripped, "sequence", "JSON sequence must be an array", "sequence entries"
         ))
-    terms = []
-    for line_no, line in enumerate(stripped.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        value = _decimal(line)
-        if value is None:
-            raise InputError(f"line {line_no} is not a decimal integer: {line!r}")
-        terms.append(value)
-    return ExactSequence.of(terms)
+    lines = [line for line in map(str.strip, stripped.splitlines()) if line]
+    if not _DECIMAL_LINES.fullmatch("\n".join(lines)):
+        for line_no, line in enumerate(stripped.splitlines(), start=1):
+            line = line.strip()
+            if line and _decimal(line) is None:
+                raise InputError(f"line {line_no} is not a decimal integer: {line!r}")
+    try:
+        terms = list(map(int, lines))
+    except ValueError as exc:  # the interpreter's int-from-str digit limit
+        raise _digit_limit("a decimal integer") from exc
+    return ExactSequence(terms)
 
 
 def render_sequence(seq: ExactSequence, fmt: str = "lines") -> str:

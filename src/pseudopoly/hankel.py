@@ -160,6 +160,13 @@ def _leading_minors(values: list[int], n: int) -> tuple[list[int], list[int] | N
     is folded from the recorded steps only then, since V_0 = 0, V_1 = 1
     and V_(i+1) = (lc^(delta+1) V_(i-1) - Q_i V_i) / beta, as for the
     remainders.
+
+    A step with delta = 1, which is every step while consecutive minors are
+    nonzero, is one pass over the coefficients: the pseudo-quotient of F by
+    G is q_0 x + q_1 with q_0 = lc f_0 and q_1 = lc f_1 - f_0 g_1, and each
+    kept remainder coefficient is (lc^2 f_(i+2) - q_0 g_(i+2) - q_1 g_(i+1))
+    / beta.  A degree jump (delta >= 2) strips one leading coefficient per
+    pass, delta + 1 times, and divides by beta after them.
     """
     prefix = values[: max(2 * n - 1, 0)]
     skip = next((i for i, v in enumerate(prefix) if v), len(prefix))
@@ -179,14 +186,23 @@ def _leading_minors(values: list[int], n: int) -> tuple[list[int], list[int] | N
         minors += [0] * (delta - 1) + [-psc_g if k % 4 in (2, 3) else psc_g]
         if deg_g <= n:
             return minors[:n], None
-        rem, quotient = dividend, []
-        for _ in range(delta + 1):
-            lead = rem[0]
-            quotient = [lc_g * q for q in quotient] + [lead]
-            rem = [lc_g * x - lead * y for x, y in zip(rem[1:], divisor[1:])]
         beta = -lc_f * (-psc_f) ** delta
-        steps.append((quotient, lc_g ** (delta + 1), beta))
-        rem = [x // beta for x in rem]
+        if delta == 1:  # every step of a normal sequence
+            scale = lc_g * lc_g
+            q_0 = lc_g * dividend[0]
+            q_1 = lc_g * dividend[1] - dividend[0] * divisor[1]
+            quotient = [q_0, q_1]
+            rem = [(scale * f - q_0 * g - q_1 * h) // beta
+                   for f, g, h in zip(dividend[2:], divisor[2:], divisor[1:])]
+        else:
+            rem, quotient = dividend, []
+            for _ in range(delta + 1):
+                lead = rem[0]
+                quotient = [lc_g * q for q in quotient] + [lead]
+                rem = [lc_g * x - lead * y for x, y in zip(rem[1:], divisor[1:])]
+            scale = lc_g ** (delta + 1)
+            rem = [x // beta for x in rem]
+        steps.append((quotient, scale, beta))
         skip = next((i for i, x in enumerate(rem) if x), len(rem))
         if skip == len(rem):
             prev, den = [], [1]
@@ -264,7 +280,7 @@ def _exact_valuation(value: Exact, p: int) -> int | float:
     """padic_valuation of an int or a Fraction, for a p known to be prime."""
     if value == 0:
         return math.inf
-    if isinstance(value, Fraction):
+    if type(value) is not int and isinstance(value, Fraction):
         return _exact_valuation(value.numerator, p) - _exact_valuation(
             value.denominator, p
         )
@@ -288,6 +304,27 @@ def _exact_valuation(value: Exact, p: int) -> int | float:
     return v
 
 
+def _valuation_from(value: Exact, p: int, required: int) -> int | float:
+    """_exact_valuation(value, p), started at the exponent ``required`` >= 0
+    when value is a nonzero int.
+
+    One divmod by p^required decides whether value meets it, and one
+    remainder by p whether it exceeds it; the climbing runs only on a
+    quotient that p divides, or on the whole value where p^required does
+    not divide it.
+    """
+    if type(value) is not int:
+        return _exact_valuation(value, p)
+    if not value:
+        return math.inf
+    quotient, remainder = divmod(abs(value), p**required)
+    if remainder:
+        return _exact_valuation(value, p)
+    if quotient % p:
+        return required
+    return required + _exact_valuation(quotient, p)
+
+
 def _determinants(seq: ExactSequence, n_max: int) -> list[Exact]:
     """det H_1 .. det H_n_max, asked for from the top order down so that
     one remainder sequence serves them all."""
@@ -301,7 +338,15 @@ def max_order(seq: ExactSequence) -> int:
 
 def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
     """Audit rows for orders 1..n_max: determinant, required divisor P_0 ...
-    P_(n-1), per-prime valuations, and normalized growth |det|^(1/n^2)."""
+    P_(n-1), per-prime valuations, and normalized growth |det|^(1/n^2).
+
+    A prime p <= n - 1 is required to divide det H_n to the exponent n - p,
+    and a nonzero int determinant's valuation starts there: one division by
+    p^(n - p) and one remainder by p, then the climbing of padic_valuation
+    only on a quotient that p divides, or on the whole determinant where
+    p^(n - p) does not divide it.  Zero and Fraction determinants are
+    valued as padic_valuation values them.
+    """
     if n_max < 0:
         raise InputError("n_max must be >= 0")
     if n_max > max_order(seq):
@@ -318,7 +363,7 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
         for p in small_primes:
             if p > n - 1:
                 break
-            valuations.append((p, n - p, _exact_valuation(det, p)))
+            valuations.append((p, n - p, _valuation_from(det, p, n - p)))
         divisible = all(actual >= required for _, required, actual in valuations)
         growth = None if det == 0 else root_abs_exact(det, n * n, f"det H_{n}")
         records.append(

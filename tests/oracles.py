@@ -19,7 +19,11 @@ division by (1 - x).  Valuations divide by p, p^2, p^4, ... and step back
 down, reports are written by a direct indent-2 writer, and their Hankel and
 congruence-violation rows by one f-string per row; the oracles here strip
 one factor of p per division, build one dict per row and call json's own
-encoder.
+encoder.  A normal step of the remainder sequence is one pass over the
+coefficients, the table's valuations start at the required exponent n - p,
+and newline input is checked by one match over its joined lines; the
+oracles keep the two pseudo-division passes and the pass dividing by beta,
+the climbing from p alone, and the line-by-line parser.
 Taylor series are expanded in integers wherever they are integral, the
 detected function is taken as coprime without a reduction, and the
 Hall-style generator solves only its prime-power constraints by CRT
@@ -58,13 +62,12 @@ from pseudopoly import (
     polynomial_certificate,
 )
 from pseudopoly import formats, hankel
-from pseudopoly.core import IntPolynomial, exact_str, log_abs_exact
+from pseudopoly.core import InputError, IntPolynomial, exact_str, log_abs_exact
 from pseudopoly.hankel import (
     HankelRecord,
     InvarianceReport,
     RationalFunction,
     _clear_denominators,
-    _exact_valuation,
 )
 from pseudopoly.polyarith import degree, derivative, trim
 from pseudopoly.primes import sieve_primes
@@ -385,7 +388,7 @@ def hankel_table_by_order(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
                 break
             required = n - p
             required_divisor *= p**required
-            actual = _exact_valuation(det, p)
+            actual = valuation_by_climbing(det, p)
             valuations.append((p, required, actual))
             if actual < required:
                 divisible = False
@@ -524,6 +527,99 @@ def padic_valuation_by_division(x: int, p: int) -> int | float:
         x //= p
         v += 1
     return v
+
+
+def valuation_by_climbing(value, p: int) -> int | float:
+    """Exponent of p in an int or Fraction, climbing from p: divide by p,
+    p^2, p^4, ... while each divides, then try the same powers from the
+    largest down; math.inf for 0."""
+    if value == 0:
+        return math.inf
+    if isinstance(value, Fraction):
+        return valuation_by_climbing(value.numerator, p) - valuation_by_climbing(
+            value.denominator, p
+        )
+    x = abs(value)
+    v = 0
+    climbed = []
+    power, step = p, 1
+    while True:
+        quotient, remainder = divmod(x, power)
+        if remainder:
+            break
+        x, v = quotient, v + step
+        climbed.append((power, step))
+        power, step = power * power, 2 * step
+    for power, step in reversed(climbed):
+        quotient, remainder = divmod(x, power)
+        if not remainder:
+            x, v = quotient, v + step
+    return v
+
+
+def leading_minors_by_pseudo_division(
+    values: list[int], n: int
+) -> tuple[list[int], list[int] | None]:
+    """``hankel._leading_minors`` with every step run as delta + 1
+    pseudo-division passes, each stripping one leading coefficient, and a
+    separate pass dividing the remainder by beta."""
+    prefix = values[: max(2 * n - 1, 0)]
+    skip = next((i for i, v in enumerate(prefix) if v), len(prefix))
+    divisor = prefix[skip:]
+    if not divisor:
+        return [0] * n, [1]
+    dividend = [1] + [0] * (len(divisor) - 1)
+    deg_f, deg_g = 2 * n, 2 * n - 1 - skip
+    lc_f = psc_f = 1
+    minors = []
+    steps = []
+    while True:
+        delta = deg_f - deg_g
+        lc_g = divisor[0]
+        psc_g = lc_g**delta // psc_f ** (delta - 1)
+        k = 2 * n - deg_g
+        minors += [0] * (delta - 1) + [-psc_g if k % 4 in (2, 3) else psc_g]
+        if deg_g <= n:
+            return minors[:n], None
+        rem, quotient = dividend, []
+        for _ in range(delta + 1):
+            lead = rem[0]
+            quotient = [lc_g * q for q in quotient] + [lead]
+            rem = [lc_g * x - lead * y for x, y in zip(rem[1:], divisor[1:])]
+        beta = -lc_f * (-psc_f) ** delta
+        steps.append((quotient, lc_g ** (delta + 1), beta))
+        rem = [x // beta for x in rem]
+        skip = next((i for i, x in enumerate(rem) if x), len(rem))
+        if skip == len(rem):
+            prev, den = [], [1]
+            for quotient, scale, beta in steps:
+                nxt = [0] * (len(quotient) + len(den) - len(prev) - 1)
+                nxt += [scale * v for v in prev]
+                for i, q in enumerate(quotient):
+                    for j, v in enumerate(den):
+                        nxt[i + j] -= q * v
+                prev, den = den, [x // beta for x in nxt]
+            return minors + [0] * (n - len(minors)), den
+        dividend, divisor = divisor[: len(rem) - skip], rem[skip:]
+        deg_f, deg_g, lc_f, psc_f = deg_g, deg_g - 1 - skip, lc_g, psc_g
+
+
+def parse_lines_one_at_a_time(text: str) -> list[int]:
+    """The newline sequence format, one line at a time: each line of
+    str.splitlines is stripped, blank ones are skipped, and the first that
+    is not a decimal integer, or passes the digit limit, is the error."""
+    terms = []
+    for line_no, line in enumerate(text.strip().splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        value = formats._decimal(line)
+        if value is None:
+            raise InputError(f"line {line_no} is not a decimal integer: {line!r}")
+        terms.append(value)
+    if not terms:
+        raise InputError("empty sequence input")
+    return terms
 
 
 def json_dumps(obj) -> str:

@@ -47,9 +47,11 @@ from oracles import (
     hankel_table_by_order,
     invariance_by_order,
     json_dumps,
+    leading_minors_by_pseudo_division,
     monic,
     mul,
     padic_valuation_by_division,
+    parse_lines_one_at_a_time,
     power_of_one_minus_x_by_division,
     rational_det,
     recurrence_by_order_search,
@@ -60,6 +62,7 @@ from oracles import (
     signed_binomial_sums,
     squarefree_over_q,
     transform_by_differences,
+    valuation_by_climbing,
 )
 from pseudopoly import (
     DIRECTION_TOL,
@@ -86,7 +89,13 @@ from pseudopoly import (
 )
 from pseudopoly import hankel
 from pseudopoly.analytic import _cluster_directions, singular_directions
-from pseudopoly.formats import audit_json_obj, congruence_json_obj, dumps, hankel_json_obj
+from pseudopoly.formats import (
+    audit_json_obj,
+    congruence_json_obj,
+    dumps,
+    hankel_json_obj,
+    parse_sequence,
+)
 from pseudopoly.core import NumericError
 from pseudopoly.hankel import HankelRecord, RationalFunction
 from pseudopoly.polyarith import gcd_poly, series_from_rational, squarefree_factors
@@ -235,6 +244,97 @@ def test_leading_minors_of_symmetric_matrices(terms, cut):
     assert [Fraction(d, scale**k) for k, d in enumerate(minors, 1)] == [
         determinant_by_order(seq, k) for k in range(1, n + 1)
     ]
+
+
+@st.composite
+def wide_prefixes(draw):
+    """Random terms of absolute value at most 2^bits, bits drawn from 1 to 300
+    once per prefix."""
+    bits = draw(st.integers(1, 300))
+    return draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=41))
+
+
+# full-rank prefixes run only steps with delta = 1; sparse and zero-led ones
+# and collapsing C-finite tails run degree jumps (delta >= 2) too
+remainder_prefixes = st.one_of(
+    wide_prefixes(),
+    st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2]), min_size=1, max_size=41),
+    zero_led,
+    c_finite(st.integers(-3, 3)),
+    c_finite(fractions),
+    st.lists(fractions, min_size=1, max_size=25),
+)
+
+
+@PROPERTY
+@given(remainder_prefixes, st.integers(0, 13))
+@example([-1, -1, 0, 0, 0, 0, -1, 0, 0], 0)  # a jump with e = 2 after order 2
+@example([0, 1, 0, 0, 0, 0, 0, -1, 1], 0)  # a jump past the largest order
+@example([0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 5], 0)  # a0 = a1 = a2 = 0
+@example([0, 1, 1, 2, 3, 5, 8, 13, 21], 0)  # every kept coefficient vanishes
+@example([2**300 + 1, -(2**299), 3, 2**300 - 1, 7], 0)
+def test_one_pass_steps_match_pseudo_division(terms, cut):
+    values, _ = hankel._clear_denominators(ExactSequence.of(terms).terms)
+    n = max(0, (len(values) + 1) // 2 - cut)
+    assert hankel._leading_minors(values, n) == leading_minors_by_pseudo_division(values, n)
+
+
+@PROPERTY
+@given(
+    st.sampled_from([2, 3, 5, 7, 97, 7919]),
+    st.integers(0, 40),
+    st.integers(-5, 60),
+    st.integers(-10**30, 10**30),
+    st.one_of(st.just(1), st.integers(2, 10**6)),
+)
+@example(2, 0, 0, 0, 1)  # zero, hint 0
+@example(3, 7, 0, 0, 1)  # zero
+@example(5, 0, 3, -7, 1)  # hint 0
+@example(2, 10, 0, -3, 1)  # exactly the required exponent, negative
+@example(2, 10, -1, 1, 1)  # one short of it
+@example(3, 4, 2, 1, 3**5)  # a Fraction with p in its denominator
+def test_valuation_from_the_required_exponent_matches_climbing(p, hint, k, m, den):
+    # value = m p^(hint + k) / den: p^hint may divide it or not, m and den
+    # may hold more factors of p, and den = 1 gives an int
+    value = m * p ** max(0, hint + k)
+    if den != 1:
+        value = Fraction(value, den)
+    expected = valuation_by_climbing(value, p)
+    assert hankel._valuation_from(value, p, hint) == expected
+    if den == 1:
+        assert expected == padic_valuation_by_division(value, p)
+
+
+# the line breaks str.splitlines honours, with CRLF and a lone CR
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"]
+_LINES = st.one_of(
+    st.integers(-10**20, 10**20).map(str),
+    st.integers(-10**20, 10**20).map(lambda v: f" \t{v}  "),
+    st.sampled_from(["", "   ", "\t"]),
+    st.sampled_from(["+3", "1_000", "\u0663", "\uff17", "1.5", "x", "- 3", "--1", "1 2"]),
+    st.just("7" * 4301),  # one digit past the interpreter's default limit
+)
+
+
+def _parsed_or_error(parse, text):
+    try:
+        return list(parse(text))
+    except InputError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(st.lists(_LINES, min_size=1, max_size=12),
+       st.lists(st.sampled_from(_LINE_BREAKS), min_size=12, max_size=12))
+@example(["7" * 4301, "+3"], ["\n"] * 12)  # the long line first: its error
+@example(["+3", "7" * 4301], ["\n"] * 12)  # the malformed line first: its error
+@example(["1", "", "  2  ", "3"], ["\r\n"] * 12)
+@example(["1", "2"], ["\r"] * 12)
+@example(["", "  "], ["\n"] * 12)  # nothing but blanks
+def test_joined_match_parses_as_line_by_line(lines, breaks):
+    text = "".join(map(str.__add__, lines, breaks))
+    expected = _parsed_or_error(parse_lines_one_at_a_time, text)
+    assert _parsed_or_error(lambda t: parse_sequence(t).terms, text) == expected
 
 
 @PROPERTY

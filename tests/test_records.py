@@ -8,6 +8,7 @@ repr string; the validated tuples build through their checks on
 ``_replace`` too.
 """
 import copy
+import enum
 import pickle
 from fractions import Fraction
 
@@ -135,3 +136,36 @@ def test_replace_builds_through_the_validating_constructor():
         Hedgehog([1])._replace(endpoints=(0j,))
     with pytest.raises(InputError, match="must be ints"):
         IntPolynomial._make([(1, 0.5)])
+
+
+class _Small(enum.IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[1, 2, 3], [_Small.THREE, 4], [Fraction(1, 2), Fraction(3, 4)], [Fraction(2), 1],
+     [1, Fraction(1, 2), _Small.THREE]],
+    ids=["ints", "int-enum", "fractions", "integral-fraction", "mixed"],
+)
+def test_is_integer_is_a_slot_set_once(terms):
+    seq = ExactSequence(terms)
+    expected = all(isinstance(t, int) for t in terms)
+    assert seq.is_integer is expected
+    for twin in (pickle.loads(pickle.dumps(seq)), copy.copy(seq), copy.deepcopy(seq)):
+        assert twin.is_integer is expected
+    with pytest.raises(AttributeError):
+        seq.is_integer = not expected
+    with pytest.raises(AttributeError):
+        del seq.is_integer
+    with pytest.raises(AttributeError):
+        seq.terms = seq.terms
+    assert seq.is_integer is expected
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None, 1j])
+def test_a_term_that_is_not_exact_is_rejected_among_subclasses(bad):
+    with pytest.raises(InputError, match="sequence terms must be exact"):
+        ExactSequence([_Small.THREE, bad])
+    with pytest.raises(InputError, match="sequence terms must be exact"):
+        ExactSequence([1, bad])

@@ -23,6 +23,7 @@ from .hankel import (
     hankel_table,
     max_order,
 )
+from .polyarith import from_int_polynomial, split_one_minus_x
 from .sequences import (
     CongruenceReport,
     GrowthReport,
@@ -72,17 +73,10 @@ class AuditReport(NamedTuple):
 
 
 def is_power_of_one_minus_x(poly: IntPolynomial) -> bool:
-    """Exact test: poly is c * (1 - x)^d, i.e. its coefficients are
-    c * (-1)^k * C(d, k) for its constant term c != 0 and degree d.
-    Constants themselves count as the zeroth power."""
-    if poly.is_zero:
-        return False
-    c = poly.constant_term()
-    d = poly.degree
-    return all(
-        a == (-c if k % 2 else c) * math.comb(d, k)
-        for k, a in enumerate(poly.coefficients)
-    )
+    """Exact test: poly is c * (1 - x)^d for some c != 0, i.e. it is nonzero
+    and its cofactor after split_one_minus_x is a constant.  Constants
+    themselves count as the zeroth power."""
+    return len(split_one_minus_x(from_int_polynomial(poly))[1]) == 1
 
 
 def ruzsa_audit(seq: ExactSequence, config: AuditConfig | None = None) -> AuditReport:

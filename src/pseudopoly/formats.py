@@ -81,7 +81,8 @@ def parse_sequence(text: str) -> ExactSequence:
     joined by newlines, checks them all at once.  Only input it rejects is
     read line by line again, so that the error names the first line that is
     not a decimal integer, or the first integer past the interpreter's
-    digit limit if that comes before it.
+    digit limit if that comes before it.  Lines are numbered in the text as
+    given, leading blank lines included.
     """
     stripped = text.strip()
     if not stripped:
@@ -90,9 +91,9 @@ def parse_sequence(text: str) -> ExactSequence:
         return ExactSequence(_parse_json_integers(
             stripped, "sequence", "JSON sequence must be an array", "sequence entries"
         ))
-    lines = [line for line in map(str.strip, stripped.splitlines()) if line]
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
     if not _DECIMAL_LINES.fullmatch("\n".join(lines)):
-        for line_no, line in enumerate(stripped.splitlines(), start=1):
+        for line_no, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if line and _decimal(line) is None:
                 raise InputError(f"line {line_no} is not a decimal integer: {line!r}")

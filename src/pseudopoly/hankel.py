@@ -26,7 +26,8 @@ remainder sequence gives it: the cofactor of the prefix polynomial in the
 remainder that vanishes has the order L of the last nonzero minor, and since
 det H_L != 0 it is the unique solution of H_L c = (a_L .. a_(2L-1))
 (Jonckheere and Ma 1989).  A zero window gives N >= 2L + window, and the
-recurrence is checked on every term in integers.  Being the shortest
+re-expansion of num/den over every term alone decides the one term that no
+minor reads, the last of an even-length prefix.  Being the shortest
 recurrence, it makes numerator and denominator coprime, so the detected
 function is not reduced again.
 """
@@ -276,18 +277,23 @@ def padic_valuation(x: int, p: int) -> int | float:
     return _exact_valuation(x, p)
 
 
-def _exact_valuation(value: Exact, p: int) -> int | float:
-    """padic_valuation of an int or a Fraction, for a p known to be prime."""
+def _exact_valuation(value: Exact, p: int, start: int = 0) -> int | float:
+    """padic_valuation of an int or a Fraction, for a p known to be prime;
+    a nonzero int is first divided by p^start when that divides it."""
     if value == 0:
         return math.inf
     if type(value) is not int and isinstance(value, Fraction):
         return _exact_valuation(value.numerator, p) - _exact_valuation(
             value.denominator, p
         )
-    # Divide by p, p^2, p^4, ... while each divides, then try the same
-    # powers from the largest down: a valuation v costs O(log v) divisions.
     x = abs(value)
     v = 0
+    if start:
+        quotient, remainder = divmod(x, p**start)
+        if not remainder:
+            x, v = quotient, start
+    # Divide by p, p^2, p^4, ... while each divides, then try the same
+    # powers from the largest down: a valuation v costs O(log v) divisions.
     climbed = []  # (p^step, step) for each division on the way up
     power, step = p, 1
     while True:
@@ -302,27 +308,6 @@ def _exact_valuation(value: Exact, p: int) -> int | float:
         if not remainder:
             x, v = quotient, v + step
     return v
-
-
-def _valuation_from(value: Exact, p: int, required: int) -> int | float:
-    """_exact_valuation(value, p), started at the exponent ``required`` >= 0
-    when value is a nonzero int.
-
-    One divmod by p^required decides whether value meets it, and one
-    remainder by p whether it exceeds it; the climbing runs only on a
-    quotient that p divides, or on the whole value where p^required does
-    not divide it.
-    """
-    if type(value) is not int:
-        return _exact_valuation(value, p)
-    if not value:
-        return math.inf
-    quotient, remainder = divmod(abs(value), p**required)
-    if remainder:
-        return _exact_valuation(value, p)
-    if quotient % p:
-        return required
-    return required + _exact_valuation(quotient, p)
 
 
 def _determinants(seq: ExactSequence, n_max: int) -> list[Exact]:
@@ -341,11 +326,9 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
     P_(n-1), per-prime valuations, and normalized growth |det|^(1/n^2).
 
     A prime p <= n - 1 is required to divide det H_n to the exponent n - p,
-    and a nonzero int determinant's valuation starts there: one division by
-    p^(n - p) and one remainder by p, then the climbing of padic_valuation
-    only on a quotient that p divides, or on the whole determinant where
-    p^(n - p) does not divide it.  Zero and Fraction determinants are
-    valued as padic_valuation values them.
+    and a nonzero int determinant's valuation starts there, with one
+    division by p^(n - p) when that divides.  Row 1's growth |a_0| needs no
+    determinant, so it is checked before the remainder sequence runs.
     """
     if n_max < 0:
         raise InputError("n_max must be >= 0")
@@ -353,6 +336,8 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
         raise InputError(
             f"order {n_max} needs a prefix of length {2 * n_max - 1}, have {len(seq)}"
         )
+    if n_max and seq.terms[0]:
+        root_abs_exact(seq.terms[0], 1, "det H_1")
     small_primes = sieve_primes(max(0, n_max - 1))
     primorial = primorials(max(0, n_max - 1))
     required_divisor = 1
@@ -363,7 +348,7 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
         for p in small_primes:
             if p > n - 1:
                 break
-            valuations.append((p, n - p, _valuation_from(det, p, n - p)))
+            valuations.append((p, n - p, _exact_valuation(det, p, n - p)))
         divisible = all(actual >= required for _, required, actual in valuations)
         growth = None if det == 0 else root_abs_exact(det, n * n, f"det H_{n}")
         records.append(
@@ -453,16 +438,17 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
 
 def _reconstruct(
     terms: tuple[Exact, ...], values: list[int], scale: int, den: list[int]
-) -> RationalFunction:
+) -> RationalFunction | None:
     """num/den for the integer denominator ``den`` (lowest degree first) of
-    the shortest recurrence, of order len(den) - 1, that holds on all of
-    ``terms``.
+    the shortest recurrence, of order len(den) - 1, on the 2 max_order - 1
+    terms the minors read; None if it misses only the last of an
+    even-length ``terms``, which they do not read.
 
     ``values`` are the terms times the lcm ``scale`` of their denominators,
     so the integer product den * values below that order is ``scale`` times
     the numerator, and (that product, scale * den) is the function.  A
     shortest recurrence makes the two coprime, so a common factor is an
-    InternalInvariantError, as is an expansion that misses ``terms``.
+    InternalInvariantError, as is an expansion that misses a term read.
     """
     order = len(den) - 1
     num = trim([sum(map(operator.mul, den, values[k::-1])) for k in range(order)])
@@ -473,11 +459,14 @@ def _reconstruct(
         raise InternalInvariantError(
             f"the shortest recurrence gave no reduced rational function: {exc}"
         ) from exc
-    if func.taylor(len(terms)) != list(terms):
-        raise InternalInvariantError(
-            "reconstructed rational function does not reproduce the prefix"
-        )
-    return func
+    expansion = func.taylor(len(terms))
+    if expansion == list(terms):
+        return func
+    if len(terms) % 2 == 0 and expansion[:-1] == list(terms[:-1]):
+        return None
+    raise InternalInvariantError(
+        "reconstructed rational function does not reproduce the prefix"
+    )
 
 
 def detect_rationality(
@@ -491,15 +480,13 @@ def detect_rationality(
     first, and only a zero window leads on to the recurrence: the integer
     denominator, of the order r of the last nonzero minor, that the
     remainder sequence of the denominator-cleared prefix gave along with
-    the determinants.  It is checked on every term in integers.  The
-    remainder sequence proves it on the terms the minors read, so a miss
-    there is an InternalInvariantError; a miss at the last term of an
-    even-length prefix, which no minor reads, means that no recurrence of
-    order r fits, and the prefix is not detected.  On success the
-    recurrence is turned into a numerator / denominator pair that is
-    re-expanded and checked against the prefix exactly.  Absence of
-    detection is a normal outcome; the determinant evidence is returned
-    either way.
+    the determinants.  Its numerator / denominator pair is re-expanded
+    against the prefix, exactly, and the first miss decides: none, and the
+    prefix is detected; at the last term of an even-length prefix, which
+    no minor reads, no recurrence of order r fits and it is not detected;
+    earlier, where the remainder sequence proves the recurrence, it is an
+    InternalInvariantError.  Absence of detection is a normal outcome; the
+    determinant evidence is returned either way.
     """
     if window < 1:
         raise InputError("window must be >= 1")
@@ -513,17 +500,8 @@ def detect_rationality(
     zero_run = next((i for i, d in enumerate(reversed(det_table)) if d), n)
     function = None
     if zero_run >= window:
+        # order = n - zero_run, so 2 * order + window <= 2n - 1 <= N
         _, values, scale, _, den = _remainder_sequence(seq, n)
         if den is not None:
-            order = len(den) - 1
-            reversed_den = den[::-1]
-            miss = next((m for m in range(order, n_terms) if sum(map(
-                operator.mul, reversed_den, values[m - order:m + 1]))), n_terms)
-            if miss <= 2 * n - 2:
-                raise InternalInvariantError(
-                    "the remainder sequence's recurrence does not reproduce the prefix"
-                )
-            # order = n - zero_run, so 2 * order + window <= 2n - 1 <= N
-            if miss == n_terms:
-                function = _reconstruct(seq.terms, values, scale or 1, den)
+            function = _reconstruct(seq.terms, values, scale or 1, den)
     return RationalityDetection(function, det_table, zero_run, window)

@@ -86,6 +86,19 @@ def derivative(p: list[int]) -> list[int]:
     return trim([k * c for k, c in enumerate(p)][1:])
 
 
+def split_one_minus_x(p: list[int]) -> tuple[int, list[int]]:
+    """(m, q) with (x - 1)^m q = p and q(1) != 0; (0, []) for p = 0.
+
+    While the coefficients sum to 0, synthetic division by x - 1 (suffix
+    sums) strips one factor.
+    """
+    q, m = trim(p), 0
+    while q and not sum(q):
+        q = list(accumulate(reversed(q[1:])))[::-1]
+        m += 1
+    return m, q
+
+
 def squarefree_factors(p: list[int]) -> list[tuple[list[int], int]]:
     """Yun's decomposition (1976) over the integers: primitive squarefree
     factors with positive leading coefficients, and their multiplicities,
@@ -93,18 +106,13 @@ def squarefree_factors(p: list[int]) -> list[tuple[list[int], int]]:
 
     The product of factor^multiplicity is the primitive part of p with a
     positive leading coefficient.  The root x = 1, the one pole of every
-    polynomial's generating function, is split off first: while the
-    coefficients sum to 0, synthetic division by x - 1 (suffix sums) counts
-    its multiplicity m, and Yun's loop runs on the cofactor only (not at
+    polynomial's generating function, is split off first by
+    split_one_minus_x, and Yun's loop runs on the cofactor only (not at
     all when that is a constant).  x - 1 is then multiplied into the
     cofactor's factor of multiplicity m, or stands alone, so the factors are
     exactly Yun's on p.
     """
-    b = _primitive(p)
-    m = 0
-    while b and not sum(b):
-        b = list(accumulate(reversed(b[1:])))[::-1]
-        m += 1
+    m, b = split_one_minus_x(_primitive(p))
     d = derivative(b)
     factors = []
     # pass 0 divides out gcd(p, p'), Yun's initial step; pass i then splits

@@ -6,16 +6,20 @@ integer recurrence of its last nonzero minor's order off one truncated
 subresultant pseudo-remainder sequence, checks transform invariance with
 one conjugation at the largest order on rows packed into integers, and
 reads the binomial transform off the partial-sum table of the inverse
-transform between two sign alternations, and the polynomiality certificate
-and the power-of-(1 - x) test off one forward-difference table.  The
+transform between two sign alternations, the polynomiality certificate
+off one forward-difference table, and the power-of-(1 - x) test off the
+integer synthetic division that splits x = 1 off for the poles.  The
 routines below are the direct methods those replaced: Berlekamp-Massey over the rationals and a Gauss-Jordan
 solve over the rationals for every candidate recurrence order, Gaussian
 elimination over the rationals, a fraction-free Bareiss elimination with
 row pivoting for every Hankel order, a conjugation by schoolbook matrix
 products for every order,
 explicit signed-binomial sums, the top-down difference rows that stop at
-the first all-zero row, an iterated-difference loop and synthetic
-division by (1 - x).  Valuations divide by p, p^2, p^4, ... and step back
+the first all-zero row, an iterated-difference loop, synthetic
+division by (1 - x) in Fractions and a comparison with c (-1)^k C(d, k).
+Detection decides the one term no minor reads by its re-expansion alone;
+the oracle scans the recurrence over every term before it reconstructs.
+Valuations divide by p, p^2, p^4, ... and step back
 down, reports are written by a direct indent-2 writer, and their Hankel and
 congruence-violation rows by one f-string per row; the oracles here strip
 one factor of p per division, build one dict per row and call json's own
@@ -238,6 +242,28 @@ def detect_function(seq: ExactSequence, window: int) -> RationalFunction | None:
     if coeffs is None or any(trailing):
         return None
     return reconstruct_by_fractions(seq.terms, recurrence_denominator(coeffs))
+
+
+def detection_by_two_scans(seq: ExactSequence, window: int) -> RationalFunction | None:
+    """``detect_rationality``'s function by the rule of two scans: the
+    recurrence denominator of the remainder sequence is checked on every
+    term in integers first, and only a prefix it fits is reconstructed.  A
+    miss at a term the minors read is an InternalInvariantError; a miss at
+    the last term of an even-length prefix, which none reads, is no
+    detection."""
+    n_terms, n = len(seq), max_order(seq)
+    values, _ = _clear_denominators(seq.terms)
+    minors, den = leading_minors_by_pseudo_division(values, n)
+    if any(minors[n - window:]) or den is None:
+        return None
+    order = len(den) - 1
+    miss = next((m for m in range(order, n_terms) if sum(map(
+        operator.mul, den[::-1], values[m - order:m + 1]))), n_terms)
+    if miss <= 2 * n - 2:
+        raise InternalInvariantError("the recurrence does not reproduce the prefix")
+    if miss < n_terms:
+        return None
+    return reconstruct_by_fractions(seq.terms, den)
 
 
 def mul(p: list, q: list) -> list:
@@ -505,6 +531,19 @@ def power_of_one_minus_x_by_division(coefficients: tuple[int, ...]) -> bool:
     return coeffs[0] != 0
 
 
+def power_of_one_minus_x_by_binomials(poly: IntPolynomial) -> bool:
+    """poly is c * (1 - x)^d: its coefficients are c * (-1)^k * C(d, k) for
+    its constant term c != 0 and degree d; constants count, zero does not."""
+    if poly.is_zero:
+        return False
+    c = poly.constant_term()
+    d = poly.degree
+    return all(
+        a == (-c if k % 2 else c) * math.comb(d, k)
+        for k, a in enumerate(poly.coefficients)
+    )
+
+
 def matmul(a: list[list], b: list[list]) -> list[list]:
     """Row-major matrix product by the schoolbook triple loop."""
     return [
@@ -607,9 +646,10 @@ def leading_minors_by_pseudo_division(
 def parse_lines_one_at_a_time(text: str) -> list[int]:
     """The newline sequence format, one line at a time: each line of
     str.splitlines is stripped, blank ones are skipped, and the first that
-    is not a decimal integer, or passes the digit limit, is the error."""
+    is not a decimal integer, or passes the digit limit, is the error; lines
+    are numbered in the text as given, leading blank ones included."""
     terms = []
-    for line_no, line in enumerate(text.strip().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

@@ -443,6 +443,13 @@ class TestErrorPaths:
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
 
+    def test_line_numbers_count_leading_blank_lines(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n\n1\n2\n+3\n"))
+        assert run_cli(["audit"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 5 is not a decimal integer: '+3'")
+
     @pytest.mark.parametrize(
         "text",
         [

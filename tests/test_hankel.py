@@ -216,6 +216,18 @@ class TestHankelTable:
         with pytest.raises(InputError):
             hankel_table(FIB_5, 4)
 
+    @pytest.mark.parametrize("first", [10**400, -(10**4299), Fraction(10**400, 3)])
+    def test_first_row_growth_past_the_float_range_needs_no_minor(self, first, monkeypatch):
+        # row 1's growth is |a_0|, so the error comes before the remainder
+        # sequence, however large the later terms make it
+        def unreachable(values, n):
+            raise AssertionError("the remainder sequence ran")
+
+        monkeypatch.setattr(hankel, "_leading_minors", unreachable)
+        seq = ExactSequence.of([first] + [10**4299 + k for k in range(59)])
+        with pytest.raises(InputError, match=r"^\|det H_1\|\^\(1/1\) is past the float range$"):
+            hankel_table(seq, 30)
+
 
 class TestTransformInvariance:
     def test_fibonacci(self):
@@ -401,6 +413,13 @@ class TestDetectRationality:
         terms = (1, 2, 4, 8, 17)
         with pytest.raises(InternalInvariantError):
             hankel._reconstruct(terms, list(terms), 1, [1, -2])
+
+    def test_reconstruction_that_misses_only_the_unread_term_is_no_function(self):
+        # the minors of six terms read five: 1/(1 - 2x) misses only the sixth
+        terms = (1, 2, 4, 8, 16, 33)
+        assert hankel._reconstruct(terms, list(terms), 1, [1, -2]) is None
+        with pytest.raises(InternalInvariantError):
+            hankel._reconstruct((1, 2, 4, 8, 17, 32), [1, 2, 4, 8, 17, 32], 1, [1, -2])
 
     @pytest.mark.parametrize("terms", [CUBIC_40, fibonacci(40)], ids=["cubic", "fibonacci"])
     def test_rational_audit_runs_one_remainder_sequence(self, terms, monkeypatch):

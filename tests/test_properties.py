@@ -40,6 +40,7 @@ from oracles import (
     congruence_as_dict,
     det_table_by_order,
     detect_function,
+    detection_by_two_scans,
     determinant_by_order,
     gcd_over_q,
     hall_by_pairwise_crt,
@@ -52,6 +53,7 @@ from oracles import (
     mul,
     padic_valuation_by_division,
     parse_lines_one_at_a_time,
+    power_of_one_minus_x_by_binomials,
     power_of_one_minus_x_by_division,
     rational_det,
     recurrence_by_order_search,
@@ -70,6 +72,7 @@ from pseudopoly import (
     Hedgehog,
     InputError,
     IntPolynomial,
+    InternalInvariantError,
     binomial_transform,
     check_congruences,
     detect_rationality,
@@ -98,7 +101,12 @@ from pseudopoly.formats import (
 )
 from pseudopoly.core import NumericError
 from pseudopoly.hankel import HankelRecord, RationalFunction
-from pseudopoly.polyarith import gcd_poly, series_from_rational, squarefree_factors
+from pseudopoly.polyarith import (
+    gcd_poly,
+    series_from_rational,
+    split_one_minus_x,
+    squarefree_factors,
+)
 from pseudopoly.sequences import CongruenceReport, Violation
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -196,6 +204,59 @@ def test_detection_matches_berlekamp_massey(terms, window):
     minors, den = hankel._leading_minors(values, max_order(seq))
     if den is not None:
         assert len(den) - 1 == max((k for k, d in enumerate(minors, 1) if d), default=0)
+
+
+@st.composite
+def last_term_moved(draw, base):
+    """A prefix from ``base``, one term shorter or not, so that both
+    parities occur, with its last term moved by -1, 0 or 1."""
+    terms = list(draw(base))
+    if len(terms) > 4 and draw(st.booleans()):
+        terms.pop()
+    terms[-1] += draw(st.sampled_from([-1, 0, 1]))
+    return terms
+
+
+polynomial_prefixes = st.builds(
+    lambda coeffs, length: [sum(c * k**j for j, c in enumerate(coeffs)) for k in range(length)],
+    st.lists(st.integers(-5, 5), min_size=1, max_size=6),
+    st.integers(4, 30),
+)
+two_scan_prefixes = st.one_of(
+    last_term_moved(c_finite(st.integers(-3, 3))),
+    last_term_moved(c_finite(fractions)),
+    last_term_moved(polynomial_prefixes),
+    polynomial_prefixes,
+    st.lists(st.sampled_from([0, 0, 0, 1, -1]), min_size=4, max_size=22),  # sparse
+    zero_led.filter(lambda t: len(t) >= 4),
+    st.lists(fractions, min_size=4, max_size=22),
+)
+
+
+def _function_or_error(detect, seq, window):
+    try:
+        return detect(seq, window)
+    except InternalInvariantError:
+        return InternalInvariantError
+
+
+@PROPERTY
+@given(two_scan_prefixes, st.integers(1, 5))
+@example([2**k for k in range(19)] + [2**19 + 1], 3)  # even: no minor reads it
+@example([2**k for k in range(20)], 3)
+@example([2**k for k in range(18)] + [2**18 + 1], 3)  # odd: the last minor reads it
+@example([k**3 for k in range(15)] + [15**3 - 1], 2)
+@example([0, 0, 0, 1], 1)
+def test_detection_matches_two_scans(terms, window):
+    # the re-expansion alone decides what the integer scan of the
+    # recurrence over every term and the re-expansion decided together
+    seq = ExactSequence.of(terms)
+    window = min(window, (len(seq) - 2) // 2)
+    expected = _function_or_error(detection_by_two_scans, seq, window)
+    actual = _function_or_error(
+        lambda s, w: detect_rationality(s, w).function, seq, window
+    )
+    assert actual == expected
 
 
 minor_prefixes = st.one_of(
@@ -300,7 +361,7 @@ def test_valuation_from_the_required_exponent_matches_climbing(p, hint, k, m, de
     if den != 1:
         value = Fraction(value, den)
     expected = valuation_by_climbing(value, p)
-    assert hankel._valuation_from(value, p, hint) == expected
+    assert hankel._exact_valuation(value, p, hint) == expected
     if den == 1:
         assert expected == padic_valuation_by_division(value, p)
 
@@ -331,6 +392,9 @@ def _parsed_or_error(parse, text):
 @example(["1", "", "  2  ", "3"], ["\r\n"] * 12)
 @example(["1", "2"], ["\r"] * 12)
 @example(["", "  "], ["\n"] * 12)  # nothing but blanks
+@example(["", "", "1", "2", "+3"], ["\n"] * 12)  # leading blank lines count
+@example(["  ", "\t", "x"], ["\r\n"] * 12)  # leading whitespace-only lines
+@example(["", " ", "1", "1.5"], ["\x0b"] * 12)  # breaks that str.strip drops too
 def test_joined_match_parses_as_line_by_line(lines, breaks):
     text = "".join(map(str.__add__, lines, breaks))
     expected = _parsed_or_error(parse_lines_one_at_a_time, text)
@@ -587,6 +651,27 @@ def test_power_test_matches_synthetic_division(coeffs):
 
 @PROPERTY
 @given(
+    st.integers(-10**6, 10**6),
+    st.integers(0, 12),
+    st.lists(st.integers(-5, 5), max_size=5),
+    st.booleans(),
+)
+@example(0, 3, [1], False)  # the zero polynomial
+@example(7, 0, [], False)  # a constant
+@example(-2, 4, [1], True)  # q = 1 - x itself: one more power
+@example(5, 1, [1, 1], True)  # q = (1 - x)(1 + 2x)
+@example(3, 2, [2, 1], False)  # q(1) != 0 and not constant
+def test_power_test_matches_binomials(c, d, q, vanish_at_one):
+    # c (1 - x)^d q, with q(1) = 0 (a factor 1 - x hidden in q) or not
+    if vanish_at_one and q:
+        q = q + [-sum(q)]
+    one_minus_x_power = [(-1) ** k * comb(d, k) for k in range(d + 1)]
+    poly = IntPolynomial.of(mul([c], mul(one_minus_x_power, q or [1])))
+    assert is_power_of_one_minus_x(poly) == power_of_one_minus_x_by_binomials(poly)
+
+
+@PROPERTY
+@given(
     st.integers(-9, 9).filter(bool),
     st.integers(0, 12),
     st.data(),
@@ -689,6 +774,34 @@ def test_integer_squarefree_matches_yun_over_q(p):
     for f, _ in factors:
         assert all(type(c) is int for c in f)
         assert f[-1] > 0 and math.gcd(*f) == 1
+
+
+def _x_minus_one_power(m):
+    return [(-1) ** (m - k) * comb(m, k) for k in range(m + 1)]
+
+
+@PROPERTY
+@given(
+    st.integers(0, 8),
+    st.one_of(
+        st.lists(st.integers(-10**6, 10**6), max_size=8),
+        factored_polys(),
+    ),
+)
+@example(0, [])
+@example(3, [0])
+@example(2, [5])
+@example(0, [1, -1])
+def test_split_one_minus_x_leaves_a_cofactor_without_the_root(m, p):
+    # p times (x - 1)^m, split: (x - 1)^m' q gives it back, q(1) != 0
+    p = mul(_x_minus_one_power(m), p)
+    split, q = split_one_minus_x(p)
+    if not p:
+        assert (split, q) == (0, [])
+        return
+    assert sum(q) != 0
+    assert mul(_x_minus_one_power(split), q) == p
+    assert split >= m
 
 
 @PROPERTY

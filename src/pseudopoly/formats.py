@@ -6,7 +6,8 @@ Polynomials are JSON arrays of decimal-string coefficients, lowest degree
 first.  Report serialization is deterministic: identical inputs yield
 byte-identical JSON, the bytes of json.dumps(obj, sort_keys=True, indent=2).
 The rows a report repeats (Hankel table rows and congruence violations)
-are written by one f-string each, not built as one dict per row.
+are written a whole array per call and one f-string per row, not built as
+one dict per row.
 """
 from __future__ import annotations
 
@@ -160,9 +161,10 @@ def _encoder(value):
 
 
 class _Rows:
-    """A JSON array of report rows that repeat one shape; ``render(item,
-    newline)`` writes one row as the indent-2 JSON of its dict, starting on
-    the line whose break and indent are ``newline``."""
+    """A JSON array of report rows that repeat one shape; ``render(items,
+    newline)`` writes the whole array at once, as the list of its rows'
+    texts, each the indent-2 JSON of the row's dict starting on the line
+    whose break and indent are ``newline``."""
 
     __slots__ = ("items", "render")
 
@@ -175,9 +177,7 @@ def _write_rows(rows: _Rows, newline: str) -> str:
     if not rows.items:
         return "[]"
     inner = newline + "  "
-    render = rows.render
-    return ("[" + inner + ("," + inner).join([render(item, inner) for item in rows.items])
-            + newline + "]")
+    return "[" + inner + ("," + inner).join(rows.render(rows.items, inner)) + newline + "]"
 
 
 def _write(obj, append, newline: str) -> None:
@@ -238,10 +238,11 @@ def dumps(obj) -> str:
     return "".join(pieces)
 
 
-def _violation_row(v, newline: str) -> str:
+def _violation_rows(violations, newline: str) -> list[str]:
     i = newline + "  "
-    return (f'{{{i}"lhs_residue": {v.lhs_residue},{i}"modulus": {v.modulus},'
-            f'{i}"n": {v.n},{i}"rhs_residue": {v.rhs_residue}{newline}}}')
+    return [f'{{{i}"lhs_residue": {v.lhs_residue},{i}"modulus": {v.modulus},'
+            f'{i}"n": {v.n},{i}"rhs_residue": {v.rhs_residue}{newline}}}'
+            for v in violations]
 
 
 def congruence_json_obj(report: CongruenceReport) -> dict:
@@ -250,7 +251,7 @@ def congruence_json_obj(report: CongruenceReport) -> dict:
         "length": report.length,
         "checked_pairs": report.checked_pairs,
         "ok": report.ok,
-        "violations": _Rows(report.violations, _violation_row),
+        "violations": _Rows(report.violations, _violation_rows),
     }
 
 
@@ -261,30 +262,39 @@ def congruence_csv(report: CongruenceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _hankel_row(rec, newline: str) -> str:
+def _hankel_rows(records, newline: str) -> list[str]:
     i = newline + "  "
-    if rec.valuations:
-        i2 = i + "  "
-        i3 = i2 + "  "
-        # '"' sorts below every digit, so sorting the entries sorts their
-        # prime keys as strings: "11" before "2", "2" before "23"
-        valuations = "{" + ",".join(sorted([
-            f"""{i2}"{p}": {{{i3}"actual": {'"inf"' if act == math.inf else act},"""
-            f"""{i3}"required": {req}{i2}}}"""
-            for p, req, act in rec.valuations
-        ])) + i + "}"
-    else:
-        valuations = "{}"
-    growth = rec.normalized_growth
-    return (f"""{{{i}"det": "{exact_str(rec.det)}","""
+    i2 = i + "  "
+    i3 = i2 + "  "
+    keys: dict = {}  # prime -> its entry's text up to the actual exponent
+    required = f""",{i3}"required": """
+    close = i2 + "}"
+    inf = math.inf
+    rows = []
+    for rec in records:
+        if rec.valuations:
+            # '"' sorts below every digit, so sorting the entries sorts their
+            # prime keys as strings: "11" before "2", "2" before "23"
+            valuations = "{" + ",".join(sorted([
+                f"""{keys.get(p) or keys.setdefault(p, f'{i2}"{p}": {{{i3}"actual": ')}"""
+                f"""{'"inf"' if act == inf else act}{required}{req}{close}"""
+                for p, req, act in rec.valuations
+            ])) + i + "}"
+        else:
+            valuations = "{}"
+        growth = rec.normalized_growth
+        rows.append(
+            f"""{{{i}"det": "{exact_str(rec.det)}","""
             f"""{i}"divisible": {'true' if rec.divisible else 'false'},{i}"n": {rec.n},"""
             f"""{i}"normalized_growth": {'null' if growth is None else _float_repr(growth)},"""
             f"""{i}"required_divisor": "{exact_str(rec.required_divisor)}","""
-            f"""{i}"valuations": {valuations}{newline}}}""")
+            f"""{i}"valuations": {valuations}{newline}}}"""
+        )
+    return rows
 
 
 def hankel_json_obj(records) -> _Rows:
-    return _Rows(records, _hankel_row)
+    return _Rows(records, _hankel_rows)
 
 
 def hankel_csv(records) -> str:

@@ -56,7 +56,7 @@ from .polyarith import (
     series_from_rational,
     trim,
 )
-from .primes import is_prime, sieve_primes
+from .primes import is_prime, sieve_flags
 
 DEFAULT_WINDOW = 3  # trailing zero minors that detection asks for
 
@@ -326,9 +326,14 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
     P_(n-1), per-prime valuations, and normalized growth |det|^(1/n^2).
 
     A prime p <= n - 1 is required to divide det H_n to the exponent n - p,
-    and a nonzero int determinant's valuation starts there, with one
-    division by p^(n - p) when that divides.  Row 1's growth |a_0| needs no
-    determinant, so it is checked before the remainder sequence runs.
+    and the required divisor is the product of those p^(n - p).  A zero
+    determinant has every valuation math.inf and divides.  A nonzero int
+    determinant is divided once by the required divisor; when that divides,
+    v_p = n - p + v_p(quotient), and only the primes of gcd(quotient,
+    P_(n-1)) are climbed.  Any other row, a Fraction or an int off its
+    divisor, starts each prime's valuation at n - p.  Row 1's growth |a_0|
+    needs no determinant, so it is checked before the remainder sequence
+    runs.
     """
     if n_max < 0:
         raise InputError("n_max must be >= 0")
@@ -338,21 +343,35 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
         )
     if n_max and seq.terms[0]:
         root_abs_exact(seq.terms[0], 1, "det H_1")
-    small_primes = sieve_primes(max(0, n_max - 1))
+    is_prime_flag = sieve_flags(max(0, n_max - 1))
     primorial = primorials(max(0, n_max - 1))
+    inf = math.inf
     required_divisor = 1
+    below = []  # the primes <= n - 1
     records = []
     for n, det in enumerate(_determinants(seq, n_max), start=1):
         required_divisor *= primorial[n - 1]
-        valuations = []
-        for p in small_primes:
-            if p > n - 1:
-                break
-            valuations.append((p, n - p, _exact_valuation(det, p, n - p)))
-        divisible = all(actual >= required for _, required, actual in valuations)
-        growth = None if det == 0 else root_abs_exact(det, n * n, f"det H_{n}")
+        if is_prime_flag[n - 1]:
+            below.append(n - 1)
+        if det == 0:
+            valuations = tuple([(p, n - p, inf) for p in below])
+            divisible, growth = True, None
+        else:
+            growth = root_abs_exact(det, n * n, f"det H_{n}")
+            # a Fraction takes the per-prime path, as an int off its divisor
+            quotient, remainder = divmod(det, required_divisor) if type(det) is int else (0, 1)
+            if remainder:
+                valuations = tuple([(p, n - p, _exact_valuation(det, p, n - p)) for p in below])
+                divisible = all(actual >= required for _, required, actual in valuations)
+            else:
+                shared = math.gcd(quotient, primorial[n - 1])
+                valuations = tuple([
+                    (p, n - p, n - p + (0 if shared % p else _exact_valuation(quotient, p)))
+                    for p in below
+                ])
+                divisible = True
         records.append(
-            HankelRecord(n, det, required_divisor, tuple(valuations), divisible, growth)
+            HankelRecord(n, det, required_divisor, valuations, divisible, growth)
         )
     return records
 

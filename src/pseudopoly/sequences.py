@@ -68,7 +68,11 @@ def check_congruences(seq: ExactSequence, mode: str = "primary") -> CongruenceRe
 
     mode="primary" checks a_{n+p} = a_n (mod p) for every prime p with
     n + p inside the prefix; mode="full" checks every modulus k >= 1.
-    Violations are listed in lexicographic (n, modulus) order.
+    Each modulus m accounts for N - m (n, m) pairs, and all of them hold
+    exactly when the residues a_n mod m are m-periodic: one residue list
+    per modulus and one list comparison decide it, and a prefix whose
+    moduli all pass returns at once.  Violations are read off the residues
+    of the moduli that fail, in lexicographic (n, modulus) order.
     """
     if mode not in ("primary", "full"):
         raise InputError(f"unknown mode {mode!r}")
@@ -80,15 +84,21 @@ def check_congruences(seq: ExactSequence, mode: str = "primary") -> CongruenceRe
         moduli = sieve_primes(n_terms - 1)
     else:
         moduli = list(range(1, n_terms))
-    checked = 0
+    checked = n_terms * len(moduli) - sum(moduli)
+    failing = []  # (m, the residues a_n mod m) for each modulus that fails
+    for m in moduli:
+        residues = [x % m for x in a]
+        if residues[m:] != residues[:-m]:
+            failing.append((m, residues))
+    if not failing:
+        return CongruenceReport(mode, n_terms, checked, ())
     violations = []
     for n in range(n_terms - 1):
-        for m in moduli:
-            if n + m > n_terms - 1:
+        for m, residues in failing:
+            if n + m >= n_terms:
                 break
-            checked += 1
-            if (a[n + m] - a[n]) % m != 0:
-                violations.append(Violation(n, m, a[n + m] % m, a[n] % m))
+            if residues[n + m] != residues[n]:
+                violations.append(Violation(n, m, residues[n + m], residues[n]))
     return CongruenceReport(mode, n_terms, checked, tuple(violations))
 
 

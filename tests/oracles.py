@@ -24,10 +24,13 @@ down, reports are written by a direct indent-2 writer, and their Hankel and
 congruence-violation rows by one f-string per row; the oracles here strip
 one factor of p per division, build one dict per row and call json's own
 encoder.  A normal step of the remainder sequence is one pass over the
-coefficients, the table's valuations start at the required exponent n - p,
-and newline input is checked by one match over its joined lines; the
-oracles keep the two pseudo-division passes and the pass dividing by beta,
-the climbing from p alone, and the line-by-line parser.
+coefficients, the table's valuations come from one division of each row by
+its required divisor (or start at the required exponent n - p), the
+congruences are checked by the periodicity of the residues mod each
+modulus, and newline input is checked by one match over its joined lines;
+the oracles keep the two pseudo-division passes and the pass dividing by
+beta, the climbing from p alone for every prime of every row, one
+difference per (n, m) pair, and the line-by-line parser.
 Taylor series are expanded in integers wherever they are integral, the
 detected function is taken as coprime without a reduction, and the
 Hall-style generator solves only its prime-power constraints by CRT
@@ -75,6 +78,7 @@ from pseudopoly.hankel import (
 )
 from pseudopoly.polyarith import degree, derivative, trim
 from pseudopoly.primes import sieve_primes
+from pseudopoly.sequences import CongruenceReport, Violation
 
 
 def hankel_rows(values: list, n: int) -> list[list]:
@@ -488,6 +492,24 @@ def certificate_by_differences(terms: list) -> int | None:
         if all(x == 0 for x in diffs):
             return d
     return None
+
+
+def congruences_by_pairs(seq: ExactSequence, mode: str = "primary") -> CongruenceReport:
+    """``check_congruences`` by one big-integer difference and one ``%`` for
+    every (n, m) pair, n-major, counting the pairs as it goes."""
+    a = seq.integer_terms()
+    n_terms = len(a)
+    moduli = sieve_primes(n_terms - 1) if mode == "primary" else list(range(1, n_terms))
+    checked = 0
+    violations = []
+    for n in range(n_terms - 1):
+        for m in moduli:
+            if n + m > n_terms - 1:
+                break
+            checked += 1
+            if (a[n + m] - a[n]) % m != 0:
+                violations.append(Violation(n, m, a[n + m] % m, a[n] % m))
+    return CongruenceReport(mode, n_terms, checked, tuple(violations))
 
 
 def audit_verdict_by_stages(seq: ExactSequence) -> tuple[str, int | None]:

@@ -10,6 +10,7 @@ from pseudopoly import (
     ExactSequence,
     InputError,
     IntPolynomial,
+    InternalInvariantError,
     VERDICT_CONGRUENCE_VIOLATION,
     VERDICT_POLYNOMIAL,
     VERDICT_UNDETERMINED,
@@ -104,6 +105,22 @@ class TestRuzsaAudit:
             report = ruzsa_audit(seq)  # must not raise InternalInvariantError
             assert all(rec.divisible for rec in report.hankel)
             assert_report_invariants(report)
+
+    def test_non_divisible_minor_of_a_congruent_prefix_raises(self, monkeypatch):
+        # the primary congruences force P_0 ... P_(n-1) | det H_n, so a minor
+        # moved off its required divisor is a bug, not a finding
+        terms = list(generate_primary([1, -2, 0, 3] * 8, 31))
+        assert ruzsa_audit(ExactSequence.of(terms)).congruence.ok
+        original = hankel._leading_minors
+
+        def last_minor_moved(values, n):
+            minors, den = original(values, n)
+            assert minors[-1] != 0
+            return minors[:-1] + [minors[-1] + 1], den
+
+        monkeypatch.setattr(hankel, "_leading_minors", last_minor_moved)
+        with pytest.raises(InternalInvariantError, match=r"determinants at orders \[16\]"):
+            ruzsa_audit(ExactSequence.of(terms))  # a new object: the memo is not read
 
     def test_random_polynomials_get_polynomial_verdict(self):
         rng = random.Random(97)

@@ -589,6 +589,26 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("INTERNAL INVARIANT VIOLATED")
 
+    def test_non_divisible_minor_of_a_congruent_prefix_exits_three(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a congruent prefix whose last minor is moved off its required
+        # divisor contradicts a theorem: a bug, not a finding
+        original = hankel._leading_minors
+
+        def last_minor_moved(values, n):
+            minors, den = original(values, n)
+            return minors[:-1] + [minors[-1] + 1], den
+
+        monkeypatch.setattr(hankel, "_leading_minors", last_minor_moved)
+        terms = list(generate_primary([1, -2, 0, 3] * 8, 31))
+        path = write_sequence(tmp_path, "primary.txt", terms)
+        assert run_cli(["audit", "--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("INTERNAL INVARIANT VIOLATED")
+        assert "non-divisible Hankel determinants at orders [16]" in captured.err
+
     def test_recurrence_with_a_common_factor_exits_three(self, tmp_path, capsys, monkeypatch):
         # (1 - x) too many in the denominator still gives a recurrence of the
         # prefix, but not a reduced function: also a bug, not a finding

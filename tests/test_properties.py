@@ -19,7 +19,8 @@ shared-direction rule (argument clustering) with a comparison of every pair
 of arguments, and the audit's verdict and degree with its stages run in
 their earlier order, the certificate computed for every detected function.
 The congruence checks are compared with the divisibility of the forward
-differences by lcm(1..k) and by the primorials.
+differences by lcm(1..k) and by the primorials, and with one difference
+per (n, m) pair.
 """
 import cmath
 import math
@@ -38,6 +39,7 @@ from oracles import (
     binomial_sums,
     certificate_by_differences,
     congruence_as_dict,
+    congruences_by_pairs,
     det_table_by_order,
     detect_function,
     detection_by_two_scans,
@@ -283,6 +285,38 @@ def test_table_and_detection_match_eliminations_by_order(terms, cut):
         expected = det_table_by_order(seq)
         assert det_table == expected
         assert list(map(type, det_table)) == list(map(type, expected))
+
+
+@st.composite
+def table_prefixes(draw):
+    """(terms, congruent): a primary or Hall prefix, perhaps negated, or a
+    polynomial prefix (higher rows 0), all congruent; or a primary or Hall
+    prefix with one term moved, which is not."""
+    kind = draw(st.sampled_from(["primary", "polynomial", "moved"]))
+    if kind == "polynomial":
+        return draw(polynomial_prefixes), True
+    terms = draw(primary_or_hall())
+    if draw(st.booleans()):
+        terms = [-t for t in terms]
+    if kind == "moved":
+        terms[draw(st.integers(0, len(terms) - 1))] += draw(st.sampled_from([1, -1]))
+    return terms, kind != "moved"
+
+
+@PROPERTY
+@given(table_prefixes(), st.integers(0, 3))
+@example(([k**4 - 3 * k for k in range(16)], True), 0)
+@example(([-t for t in generate_primary([1, -2, 0, 3] * 4, 15)], True), 0)
+def test_table_rows_match_eliminations_by_order(prefix, cut):
+    # a divisible row from one division by its required divisor, a zero row
+    # without a valuation, any other row prime by prime
+    terms, congruent = prefix
+    seq = ExactSequence.of(terms)
+    n_max = max(0, max_order(seq) - cut)
+    records = hankel_table(seq, n_max)
+    assert records == hankel_table_by_order(seq, n_max)
+    if congruent:
+        assert all(r.divisible for r in records)
 
 
 @PROPERTY
@@ -616,7 +650,7 @@ def test_transform_matches_top_down_differences(terms):
 
 
 @st.composite
-def polynomial_prefixes(draw):
+def nudged_polynomials(draw):
     """Values of a random integer polynomial, sometimes with one term
     nudged so that the certificate has to fail or find a higher degree."""
     coeffs = draw(st.lists(st.integers(-20, 20), max_size=8))
@@ -629,7 +663,7 @@ def polynomial_prefixes(draw):
 
 @PROPERTY
 @given(st.one_of(
-    polynomial_prefixes(),
+    nudged_polynomials(),
     st.lists(small_ints, min_size=3, max_size=30),
     st.lists(fractions, min_size=3, max_size=30),
     st.lists(st.sampled_from([0, 0, 0, 1]), min_size=3, max_size=12),
@@ -872,6 +906,31 @@ def test_congruences_iff_forward_differences_divisible(terms):
     assert primary == check_congruences(seq, "primary").ok
 
 
+congruence_prefixes = st.one_of(
+    shifted_prefixes(),
+    primary_or_hall().map(lambda terms: [-t for t in terms]),
+    nudged_polynomials(),
+    c_finite(st.integers(-3, 3)),
+    st.lists(small_ints, min_size=2, max_size=3),
+)
+
+
+@PROPERTY
+@given(congruence_prefixes, st.sampled_from(["primary", "full"]))
+@example([0] * 11 + [210], "primary")  # only the largest prime, 11, fails
+@example([0] * 11 + [2520], "full")  # only the largest modulus, 11, fails
+@example([2**n for n in range(20)], "primary")  # (0, 2, 0, 1) before (0, 3, 2, 1)
+@example([-7, 4], "full")
+@example([3, -1, -6], "primary")
+def test_congruences_match_pair_scan(terms, mode):
+    # the periodicity of the residues mod each modulus against one
+    # difference per (n, m) pair: same pair count, same violations in order
+    seq = ExactSequence.of(terms)
+    report = check_congruences(seq, mode)
+    assert report == congruences_by_pairs(seq, mode)
+    assert type(report.violations) is tuple
+
+
 @st.composite
 def near_directions(draw):
     """2-4 arguments near 0 or near -pi and pi, each offset from its base by
@@ -991,6 +1050,25 @@ BASE_AUDIT = ruzsa_audit(ExactSequence.of([2**n for n in range(12)]))
 @given(st.lists(hankel_records, max_size=5), congruence_reports)
 @example([], CongruenceReport("full", 0, 0, ()))
 @example([HankelRecord(1, 3, 1, (), True, None)], CongruenceReport("primary", 3, 1, ()))
+@example(
+    [
+        HankelRecord(2, 6, 1, ((3, 0, 1), (7, 2, math.inf)), True, 1.5),  # primes not below n
+        HankelRecord(12, -4, 2, ((2, 10, math.inf), (11, 1, 0)), False, 0.5),  # 3..7 skipped
+    ],
+    CongruenceReport("primary", 3, 1, ()),
+)
+@example(
+    [HankelRecord(5, 0, 12, ((2, 3, 4), (3, 2, 0)), False, None)],  # det 0, finite actuals
+    CongruenceReport("primary", 3, 1, ()),
+)
+@example(
+    [  # rows that share primes with other exponents
+        HankelRecord(4, 12, 12, ((2, 2, 2), (3, 1, 1)), True, 1.25),
+        HankelRecord(5, 0, 288, ((2, 3, math.inf), (3, 2, math.inf)), True, None),
+        HankelRecord(6, 2**9 * 3**5, 8640, ((2, 4, 9), (3, 3, 5), (5, 1, 0)), False, 2.0),
+    ],
+    CongruenceReport("full", 3, 3, (Violation(0, 2, 1, 0),)),
+)
 def test_row_writers_match_dict_rows(records, congruence):
     assert dumps(hankel_json_obj(records)) == json_dumps(hankel_rows_as_dicts(records))
     assert dumps(congruence_json_obj(congruence)) == json_dumps(congruence_as_dict(congruence))

@@ -295,13 +295,15 @@ def singular_directions(function: RationalFunction) -> SingularityReport:
     integers), so the root finder only ever sees simple roots: each
     primitive factor divided by its leading coefficient, as correctly
     rounded quotients of ints.  A linear factor c0 + c1 x needs no root
-    finder: its pole is the correctly rounded -(c0 / c1), and +0.0 where
-    that underflows.  ``np.roots`` returns the same double wherever
-    |c0 / c1| lies between about 2^-459 and 2^459; beyond, LAPACK's
-    rescaling can leave its root one ulp off.  Each root of a factor of
-    higher degree must pass a relative residual test at RESIDUAL_TOL or
-    NumericError is raised.  Directions are principal arguments clustered
-    at DIRECTION_TOL; the radius is the smallest pole modulus.
+    finder: its pole is the correctly rounded -(c0 / c1).  ``np.roots``
+    returns the same double wherever |c0 / c1| lies between about 2^-459
+    and 2^459; beyond, LAPACK's rescaling can leave its root one ulp off.
+    Each root of a factor of higher degree must pass a relative residual
+    test at RESIDUAL_TOL or NumericError is raised.  Every factor has a
+    nonzero constant term, so 0 is never a pole, and a pole that reads 0
+    has underflowed: NumericError, since its direction is lost.
+    Directions are principal arguments clustered at DIRECTION_TOL; the
+    radius is the smallest pole modulus.
     """
     den = function.denominator
     if den.degree < 1:
@@ -313,7 +315,7 @@ def singular_directions(function: RationalFunction) -> SingularityReport:
         except OverflowError as exc:
             raise NumericError(f"a denominator factor is past the float range: {exc}") from exc
         if len(coeffs) == 2:
-            poles.append((complex(-coeffs[1] or 0.0), multiplicity))
+            poles.append((complex(-coeffs[1]), multiplicity))
             continue
         # Imported here, not at module level: only a factor of degree >= 2
         # needs the root finder, so every other command, polynomial audits
@@ -333,6 +335,8 @@ def singular_directions(function: RationalFunction) -> SingularityReport:
         if bad:
             raise NumericError(f"root residuals exceed tolerance {RESIDUAL_TOL}: {bad}")
         poles.extend((complex(z), multiplicity) for z in roots)
+    if any(z == 0 for z, _ in poles):
+        raise NumericError("a pole underflows to 0 in floating point")
     poles.sort(key=lambda pm: (pm[0].real, pm[0].imag))
     directions = _cluster_directions([cmath.phase(z) for z, _ in poles], DIRECTION_TOL)
     radius = min(abs(z) for z, _ in poles)

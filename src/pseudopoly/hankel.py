@@ -277,9 +277,8 @@ def padic_valuation(x: int, p: int) -> int | float:
     return _exact_valuation(x, p)
 
 
-def _exact_valuation(value: Exact, p: int, start: int = 0) -> int | float:
-    """padic_valuation of an int or a Fraction, for a p known to be prime;
-    a nonzero int is first divided by p^start when that divides it."""
+def _exact_valuation(value: Exact, p: int) -> int | float:
+    """padic_valuation of an int or a Fraction, for a p known to be prime."""
     if value == 0:
         return math.inf
     if type(value) is not int and isinstance(value, Fraction):
@@ -288,10 +287,6 @@ def _exact_valuation(value: Exact, p: int, start: int = 0) -> int | float:
         )
     x = abs(value)
     v = 0
-    if start:
-        quotient, remainder = divmod(x, p**start)
-        if not remainder:
-            x, v = quotient, start
     # Divide by p, p^2, p^4, ... while each divides, then try the same
     # powers from the largest down: a valuation v costs O(log v) divisions.
     climbed = []  # (p^step, step) for each division on the way up
@@ -331,7 +326,7 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
     determinant is divided once by the required divisor; when that divides,
     v_p = n - p + v_p(quotient), and only the primes of gcd(quotient,
     P_(n-1)) are climbed.  Any other row, a Fraction or an int off its
-    divisor, starts each prime's valuation at n - p.  Row 1's growth |a_0|
+    divisor, climbs every prime from p.  Row 1's growth |a_0|
     needs no determinant, so it is checked before the remainder sequence
     runs.
     """
@@ -361,7 +356,7 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
             # a Fraction takes the per-prime path, as an int off its divisor
             quotient, remainder = divmod(det, required_divisor) if type(det) is int else (0, 1)
             if remainder:
-                valuations = tuple([(p, n - p, _exact_valuation(det, p, n - p)) for p in below])
+                valuations = tuple([(p, n - p, _exact_valuation(det, p)) for p in below])
                 divisible = all(actual >= required for _, required, actual in valuations)
             else:
                 shared = math.gcd(quotient, primorial[n - 1])
@@ -387,41 +382,22 @@ def normalized_det_growth(seq: ExactSequence, n_max: int) -> list[float | None]:
 
 def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceReport:
     """Check, for each order n <= n_max, that conjugating the Hankel matrix
-    by the signed-binomial triangular matrix reproduces the Hankel matrix of
-    the binomial transform entrywise, so that the two determinants agree.
+    by the signed-binomial triangular matrix L reproduces the Hankel matrix
+    of the binomial transform entrywise, so that the two determinants agree.
 
-    The check is exact; the first failing order (if any) is reported.  L is
-    lower triangular, so the leading n x n block of L H L^T is
-    L_n H_n L_n^T: one conjugation at n_max decides every order, and an
-    entry (i, j) that differs fails every order above max(i, j).  L_n has
-    unit diagonal, so det L_n = 1, and at every order where the blocks
-    agree entrywise det H_n(b) = det L_n det H_n(a) det L_n^T = det H_n(a):
-    the determinant invariance (Layman 2001) follows from the conjugation,
-    and no determinant is computed.  The check reads only the first
-    2 n_max - 1 terms, and b_k depends on a_0 .. a_k alone, so only those
-    terms are transformed.
+    The check is exact; the first failing order (if any) is reported.  Row
+    i of L takes the i-th forward difference D^i at 0, so entry (i, j) of
+    L H(a) L^T is D^i D^j of a_(r+s) at r = s = 0, that is D^(i+j) a_0:
+    L H(a) L^T = H(L a).  The leading n_max block therefore equals H(b) entrywise iff b_k = D^k a_0
+    for every k < 2 n_max - 1, and a b_k that differs fails every order
+    above ceil(k / 2).  L has unit diagonal, so det L_n = 1, and at every
+    order where the blocks agree det H_n(b) = det H_n(a) (Layman 2001): no
+    determinant is computed.  b_k depends on a_0 .. a_k alone, so only the
+    2 n_max - 1 terms the check reads are transformed.
 
-    The conjugation runs on rows packed into integers by Kronecker
-    substitution at B = 2^K: a row (r_0 .. r_(n-1)) packs to sum_j r_j B^j.
-    Row j of L takes the j-th forward difference D^j at 0, so column k of
-    L H packs the differences of a at k, U_k = sum_(j < n) D^j a_k B^j, and
-    packed row i of L H L^T = L (L H)^T is D^i of U_0, U_1, ... at 0.  With
-    n = n_max, U_0 and each D^n a_k are read off rows 0 .. n of L, and
-    Pascal's rule D^j a_(k+1) = D^j a_k + D^(j+1) a_k gives each packed
-    operand from the one before it in O(n) big-integer steps, every shift
-    exact:
-
-        U_(k+1) = U_k + (U_k - a_k) / B + D^n a_k B^(n-1)   (columns of L H)
-        R_i = (R_(i-1) - b_(i-1)) / B + b_(i+n-1) B^(n-1)    (rows of H(b))
-
-    Row i of L has absolute sum 2^i, so an entry of L H L^T is below
-    2^(2n-2+bits(a)) and one of H(b) below 2^bits(b), bits() the largest bit
-    length among the first 2n - 1 terms; K = max(2n - 2 + bits(a), bits(b))
-    + 2 keeps every entry of the difference of two packed rows strictly
-    inside +-B/2.  The lowest nonzero such digit d_j is not divisible by B,
-    so the difference is divisible by B^j but not by B^(j+1): it is 0 only
-    if the rows agree entrywise, and otherwise its lowest set bit, divided
-    by K, is the first column j that fails in row i.
+    With n = n_max, rows 0 .. n of L suffice: rows 0 .. n - 1 give D^k a_0
+    for k < n, row n gives D^n a_j for j < n - 1, and the differences of
+    those, D^(n+m) a_0 for m < n - 1, are rows 0 .. n - 2 applied to them.
     """
     if n_max < 1 or n_max > max_order(seq):
         raise InputError(
@@ -431,27 +407,13 @@ def verify_transform_invariance(seq: ExactSequence, n_max: int) -> InvarianceRep
     # does not change its outcome
     a = _clear_denominators(seq.terms[: 2 * n_max - 1])[0]
     b = binomial_transform(ExactSequence(a)).integer_terms()
-    width = max(2 * n_max - 2 + max(map(int.bit_length, a)),
-                max(map(int.bit_length, b))) + 2
-    shift = width * (n_max - 1)  # B^(n-1) = 1 << shift
     *l_rows, l_top = lower_triangular_rows(n_max + 1)
-    u = sum(sum(map(operator.mul, row, a)) << (width * j)
-            for j, row in enumerate(l_rows))
-    lh_cols = [u]
-    for k in range(n_max - 1):
-        u += ((u - a[k]) >> width) + (sum(map(operator.mul, l_top, a[k:])) << shift)
-        lh_cols.append(u)
-    r = sum(bj << (width * j) for j, bj in enumerate(b[:n_max]))
-    diffs = [lh_cols[0] - r]
-    diff_row = lh_cols
-    for i in range(1, n_max):
-        r = ((r - b[i - 1]) >> width) + (b[i + n_max - 1] << shift)
-        diff_row = list(map(operator.sub, diff_row[1:], diff_row))
-        diffs.append(diff_row[0] - r)
-    entrywise = min((max(i, ((d & -d).bit_length() - 1) // width) + 1
-                     for i, d in enumerate(diffs) if d), default=None)
-    if entrywise is not None:
-        return InvarianceReport(False, n_max, (entrywise, "entrywise"))
+    tail = [sum(map(operator.mul, l_top, a[j:])) for j in range(n_max - 1)]
+    differences = [sum(map(operator.mul, row, a)) for row in l_rows]
+    differences += [sum(map(operator.mul, row, tail)) for row in l_rows[: n_max - 1]]
+    k = next((k for k, (d, bk) in enumerate(zip(differences, b)) if d != bk), None)
+    if k is not None:
+        return InvarianceReport(False, n_max, ((k + 1) // 2 + 1, "entrywise"))
     return InvarianceReport(True, n_max, None)
 
 

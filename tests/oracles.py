@@ -3,10 +3,11 @@
 The library computes rational Hankel determinants by clearing
 denominators first, reads every Hankel determinant of a prefix and the
 integer recurrence of its last nonzero minor's order off one truncated
-subresultant pseudo-remainder sequence, checks transform invariance with
-one conjugation at the largest order on rows packed into integers, and
-reads the binomial transform off the partial-sum table of the inverse
-transform between two sign alternations, the polynomiality certificate
+subresultant pseudo-remainder sequence, checks transform invariance by
+comparing the transform with the forward differences that rows of L give
+at the largest order, and reads the binomial transform off the
+partial-sum table of the inverse transform between two sign
+alternations, the polynomiality certificate
 off one forward-difference table, and the power-of-(1 - x) test off the
 integer synthetic division that splits x = 1 off for the poles.  The
 routines below are the direct methods those replaced: Berlekamp-Massey over the rationals and a Gauss-Jordan

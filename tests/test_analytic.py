@@ -294,12 +294,19 @@ class TestSingularDirections:
     def test_linear_poles_are_correctly_rounded_quotients(self):
         # for 1 + 3^302 x, np.roots (LAPACK rescales at that scale) returns a
         # root one ulp off -1/3^302; the closed form is exact to the bit
-        for den in ([1, 3**302], [5, -7], [2**70 + 1, -(3**40)], [1, 2**1100]):
+        for den in ([1, 3**302], [5, -7], [2**70 + 1, -(3**40)]):
             func = RationalFunction(IntPolynomial.of([1]), IntPolynomial.of(den), 1)
             [(pole, multiplicity)] = singular_directions(func).poles
-            expected = float(Fraction(-den[0], den[1])) or 0.0  # +0.0 on underflow
+            expected = float(Fraction(-den[0], den[1]))
             assert (pole.real.hex(), pole.imag.hex(), multiplicity) == (
                 expected.hex(), (0.0).hex(), 1)
+        # a quotient that underflows reads 0, which is never a pole, and
+        # its sign, the pole's direction, is lost; (1 - 2x)(1 + 2^1100 x)
+        # is one factor whose other root, 1/2, is found
+        for den in ([1, 2**1100], [1, -(2**1100)], [1, 2**1100 - 2, -(2**1101)]):
+            func = RationalFunction(IntPolynomial.of([1]), IntPolynomial.of(den), len(den) - 1)
+            with pytest.raises(NumericError, match="a pole underflows to 0"):
+                singular_directions(func)
 
     def test_linear_pole_past_the_float_range_is_a_numeric_error(self):
         func = RationalFunction(IntPolynomial.of([1]), IntPolynomial.of([2**1100, 1]), 1)

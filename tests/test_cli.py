@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from pseudopoly.hankel import HankelRecord, InvarianceReport
 from pseudopoly.cli import (
     CONGRUENCE_TERMS_LIMIT,
     GEN_TERMS_LIMIT,
-    INVARIANCE_ROW_BITS_LIMIT,
     INVARIANCE_TERMS_LIMIT,
     TRANSFORM_TERMS_LIMIT,
     run_cli,
@@ -255,21 +255,17 @@ class TestHankelCommands:
         help_text = " ".join(capsys.readouterr().out.split())  # as wrapped at any width
         assert f"at most {INVARIANCE_TERMS_LIMIT} terms" in help_text
 
-    def test_invariance_cost_guard(self, tmp_path, capsys):
-        # 100 terms of 8,001 bits: n_max = 50 packs rows of 50 * (100 + 8001)
-        # bits, past the limit; n_max = 40 packs 40 * (80 + 8001)
-        path = write_sequence(tmp_path, "wide.txt", [2**8000 + n for n in range(100)])
-        assert 40 * (80 + 8001) <= INVARIANCE_ROW_BITS_LIMIT < 50 * (100 + 8001)
-        assert run_cli(["hankel", "verify-invariance", "--input", path]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(
-            f"error: packed row bits {50 * (100 + 8001)} exceeds the limit")
-        assert run_cli(["hankel", "verify-invariance", "--n-max", "40", "--input", path]) == 0
-        assert json.loads(capsys.readouterr().out)["passed"] is True
-        assert run_cli(["hankel", "verify-invariance", "--help"]) == 0
-        help_text = " ".join(capsys.readouterr().out.split())  # as wrapped at any width
-        assert f"at most {INVARIANCE_ROW_BITS_LIMIT} bits" in help_text
+    def test_invariance_of_wide_terms_at_full_order(self, tmp_path, capsys):
+        # as many terms as the limit allows, each with 4,299 digits, are
+        # checked at the largest order
+        rng = random.Random(67)
+        terms = [rng.choice([-1, 1]) * rng.randrange(10**4298, 10**4299)
+                 for _ in range(INVARIANCE_TERMS_LIMIT)]
+        path = write_sequence(tmp_path, "wide.txt", terms)
+        assert run_cli(["hankel", "verify-invariance", "--input", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is True
+        assert report["checked_max"] == INVARIANCE_TERMS_LIMIT // 2
 
     def test_table_csv_columns(self, tmp_path, capsys):
         path = write_sequence(tmp_path, "fib.txt", fibonacci(9))
@@ -554,6 +550,16 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("numeric failure: a denominator factor is past the float range")
+
+    def test_pole_that_underflows_to_zero_is_a_numeric_failure(self, tmp_path, capsys):
+        # 1/(1 + 10^600 x^2) has poles +-10^-300 i; its monic factor
+        # underflows, and the root finder would place both at 0
+        terms = [0 if k % 2 else (-1) ** (k // 2) * 10 ** (300 * k) for k in range(12)]
+        path = write_sequence(tmp_path, "underflow.txt", terms)
+        assert run_cli(["audit", "--input", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure:")
 
     @pytest.mark.parametrize("source", ["input", "coeffs", "stdin"])
     def test_input_that_is_not_utf8_is_input_error(self, source, tmp_path, capsys, monkeypatch):

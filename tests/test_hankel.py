@@ -292,8 +292,8 @@ class TestTransformInvariance:
     @pytest.mark.parametrize("length", [5, 6, 7, 8])
     @pytest.mark.parametrize("kind", ["integer", "zero_led", "fraction"])
     def test_small_orders_match_the_oracle(self, n_max, length, kind, monkeypatch):
-        # n = 1 makes no shift of the L H columns, and from n = 2 the last
-        # shift, k = n - 2, reads a_(2n-2) through row n of L; odd and even N
+        # n = 1 takes no difference through row n of L, and from n = 2 the
+        # last one, D^n a_(n-2), reads a_(2n-2) there; odd and even N
         rng = random.Random(n_max * 100 + length)
         terms = [rng.randint(-99, 99) for _ in range(length)]
         if kind == "zero_led":

@@ -389,13 +389,14 @@ def test_one_pass_steps_match_pseudo_division(terms, cut):
 @example(2, 10, -1, 1, 1)  # one short of it
 @example(3, 4, 2, 1, 3**5)  # a Fraction with p in its denominator
 def test_valuation_from_the_required_exponent_matches_climbing(p, hint, k, m, den):
-    # value = m p^(hint + k) / den: p^hint may divide it or not, m and den
-    # may hold more factors of p, and den = 1 gives an int
+    # value = m p^(hint + k) / den: p^hint, the exponent a Hankel row
+    # requires, may divide it or not, m and den may hold more factors of p,
+    # and den = 1 gives an int
     value = m * p ** max(0, hint + k)
     if den != 1:
         value = Fraction(value, den)
     expected = valuation_by_climbing(value, p)
-    assert hankel._exact_valuation(value, p, hint) == expected
+    assert hankel._exact_valuation(value, p) == expected
     if den == 1:
         assert expected == padic_valuation_by_division(value, p)
 
@@ -468,8 +469,8 @@ def test_memoized_determinants_never_cross_sequences(first, second, schedule, pa
         assert type(det) is (int if s.is_integer else Fraction)
 
 
-# up to 64 terms of every size, so that the packed conjugation's slot
-# width and its rows of up to 32 slots both vary
+# up to 64 terms of every size, so that the term sizes and the orders, up
+# to 32, both vary
 invariance_prefixes = st.one_of(
     st.lists(st.integers(-1000, 1000), min_size=1, max_size=64),
     st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=64),
@@ -500,8 +501,9 @@ def test_transform_keeps_every_leading_minor(terms):
 
 
 def width_from_a(seq, n_max):
-    """The slot width of the packed conjugation when it is sized from a
-    alone; the transform of an unperturbed prefix never widens it."""
+    """2 n_max plus the largest bit length of the first 2 n_max - 1 cleared
+    terms: 2 bits past any difference D^k a_0, k < 2 n_max - 1, that the
+    check compares with b_k, since row k of L has absolute sum 2^k."""
     a = hankel._clear_denominators(seq.terms[:2 * n_max - 1])[0]
     return 2 * n_max + max(abs(t).bit_length() for t in a)
 
@@ -527,7 +529,8 @@ def test_perturbed_transform_fails_at_the_oracles_order(terms, data):
     n_max = data.draw(st.integers(1, max_order(seq)))
     # the check transforms and reads only the first 2 n_max - 1 terms
     index = data.draw(st.integers(0, 2 * n_max - 2))
-    # small amounts, and powers of two at and beyond the slot width
+    # small amounts, and powers of two up to and around the size of the
+    # differences
     width = width_from_a(seq, n_max)
     delta = data.draw(st.one_of(
         st.sampled_from([-1, 1, 7]),
@@ -546,8 +549,8 @@ def test_perturbed_transform_fails_at_the_oracles_order(terms, data):
 @PROPERTY
 @given(invariance_prefixes.filter(lambda terms: len(terms) >= 3), st.data())
 def test_carry_between_adjacent_slots_is_not_missed(terms, data):
-    # +2^K in one slot and -1 in the next pack to 0 for B = 2^K: a width
-    # sized from a alone would miss the rows that hold both terms
+    # two adjacent terms moved at once, one by a power of two about the
+    # size of the differences and the next by -1: they must not cancel
     seq = ExactSequence.of(terms)
     n_max = data.draw(st.integers(2, max_order(seq)))
     index = data.draw(st.integers(0, 2 * n_max - 3))
@@ -843,8 +846,6 @@ def test_split_one_minus_x_leaves_a_cofactor_without_the_root(m, p):
 @example(mul([1, -1, 0, -2], [1, -1, 0, -2]))  # (1 - x - 2x^3)^2
 @example([1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 3])  # leading coefficient 3
 @example([1, 2**60 + 32, 3])  # float(c) / float(3) is not c / 3 here
-@example([1, 2**1100])  # the linear pole underflows: +0.0, as np.roots gives
-@example([1, -2**1100])
 def test_singular_directions_see_the_oracles_doubles(den):
     den = [-c for c in den] if den[0] < 0 else den
     expected = []
@@ -856,7 +857,7 @@ def test_singular_directions_see_the_oracles_doubles(den):
     try:
         poles = singular_directions(func).poles
     except NumericError:
-        reject()  # an ill-conditioned factor, about 1 draw in 1,000
+        reject()  # an ill-conditioned factor, about 1 draw in 1,000, or a pole read as 0
 
     def bits(poles):
         return [(z.real.hex(), z.imag.hex(), m) for z, m in poles]

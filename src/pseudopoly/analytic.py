@@ -331,7 +331,7 @@ def singular_directions(function: RationalFunction) -> SingularityReport:
             residual = abs(np.polyval(coeffs, z))
             allowed = RESIDUAL_TOL * scale * max(1.0, abs(z)) ** deg
             if residual > allowed:
-                bad.append((complex(z), residual))
+                bad.append((complex(z), float(residual)))
         if bad:
             raise NumericError(f"root residuals exceed tolerance {RESIDUAL_TOL}: {bad}")
         poles.extend((complex(z), multiplicity) for z in roots)

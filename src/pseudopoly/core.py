@@ -100,8 +100,9 @@ class ExactSequence:
 
     Terms are stored as ``int`` when integral, ``Fraction`` otherwise; no
     floating point is ever accepted.  The terms' types are checked once, on
-    construction, which also sets the ``is_integer`` slot: whether every
-    term is an int, as ``all(isinstance(t, int) for t in terms)`` says.
+    construction, which also stores an integral Fraction as its int and
+    sets the ``is_integer`` slot: whether every term is an int, as
+    ``all(isinstance(t, int) for t in terms)`` says.
     """
 
     # not a tuple: len, [] and iter read the terms
@@ -118,8 +119,15 @@ class ExactSequence:
                     raise InputError(
                         f"sequence terms must be exact, got {type(t).__name__}"
                     )
+        is_integer = all(issubclass(k, int) for k in kinds)
+        if not is_integer:  # a Fraction is present
+            terms = tuple(
+                t.numerator if isinstance(t, Fraction) and t.denominator == 1 else t
+                for t in terms
+            )
+            is_integer = all(isinstance(t, int) for t in terms)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "is_integer", all(issubclass(k, int) for k in kinds))
+        object.__setattr__(self, "is_integer", is_integer)
 
     def __setattr__(self, name, *value):  # immutable: the Hankel memo keys on identity
         raise AttributeError(f"cannot assign to or delete field {name!r}")

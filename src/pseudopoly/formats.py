@@ -7,7 +7,9 @@ first.  Report serialization is deterministic: identical inputs yield
 byte-identical JSON, the bytes of json.dumps(obj, sort_keys=True, indent=2).
 The rows a report repeats (Hankel table rows and congruence violations)
 are written a whole array per call and one f-string per row, not built as
-one dict per row.
+one dict per row.  Violation rows, as JSON and as CSV, take each field
+below 512 from one module-level tuple of str(k), between constant pieces
+joined once per call.
 """
 from __future__ import annotations
 
@@ -238,11 +240,27 @@ def dumps(obj) -> str:
     return "".join(pieces)
 
 
+# str(k) for k < 512: every field of a `check congruences` row is below its
+# 500-term limit, so these rows take their numbers from here.
+_SMALL = tuple(map(str, range(512)))
+
+
 def _violation_rows(violations, newline: str) -> list[str]:
+    """The rows of a violation list, each unpacked and written from the
+    constant pieces between its fields; a field in 0..511 takes its text
+    from _SMALL, any other is formatted as str() would."""
     i = newline + "  "
-    return [f'{{{i}"lhs_residue": {v.lhs_residue},{i}"modulus": {v.modulus},'
-            f'{i}"n": {v.n},{i}"rhs_residue": {v.rhs_residue}{newline}}}'
-            for v in violations]
+    lhs_key = "{" + i + '"lhs_residue": '
+    modulus_key = "," + i + '"modulus": '
+    n_key = "," + i + '"n": '
+    rhs_key = "," + i + '"rhs_residue": '
+    close = newline + "}"
+    s = _SMALL
+    return [f"{lhs_key}{s[lhs] if 0 <= lhs < 512 else lhs}"
+            f"{modulus_key}{s[m] if 0 <= m < 512 else m}"
+            f"{n_key}{s[n] if 0 <= n < 512 else n}"
+            f"{rhs_key}{s[rhs] if 0 <= rhs < 512 else rhs}{close}"
+            for n, m, lhs, rhs in violations]
 
 
 def congruence_json_obj(report: CongruenceReport) -> dict:
@@ -256,9 +274,11 @@ def congruence_json_obj(report: CongruenceReport) -> dict:
 
 
 def congruence_csv(report: CongruenceReport) -> str:
+    s = _SMALL
     lines = ["n,modulus,lhs_residue,rhs_residue"]
-    lines += [f"{v.n},{v.modulus},{v.lhs_residue},{v.rhs_residue}"
-              for v in report.violations]
+    lines += [f"{s[n] if 0 <= n < 512 else n},{s[m] if 0 <= m < 512 else m},"
+              f"{s[lhs] if 0 <= lhs < 512 else lhs},{s[rhs] if 0 <= rhs < 512 else rhs}"
+              for n, m, lhs, rhs in report.violations]
     return "\n".join(lines) + "\n"
 
 

@@ -72,7 +72,9 @@ def check_congruences(seq: ExactSequence, mode: str = "primary") -> CongruenceRe
     exactly when the residues a_n mod m are m-periodic: one residue list
     per modulus and one list comparison decide it, and a prefix whose
     moduli all pass returns at once.  Violations are read off the residues
-    of the moduli that fail, in lexicographic (n, modulus) order.
+    of the moduli that fail, in lexicographic (n, modulus) order, each
+    pair's residues read once and each record made as Violation._make
+    makes it, by tuple.__new__, without a Python-level call per violation.
     """
     if mode not in ("primary", "full"):
         raise InputError(f"unknown mode {mode!r}")
@@ -93,12 +95,14 @@ def check_congruences(seq: ExactSequence, mode: str = "primary") -> CongruenceRe
     if not failing:
         return CongruenceReport(mode, n_terms, checked, ())
     violations = []
+    record = tuple.__new__
     for n in range(n_terms - 1):
         for m, residues in failing:
             if n + m >= n_terms:
                 break
-            if residues[n + m] != residues[n]:
-                violations.append(Violation(n, m, residues[n + m], residues[n]))
+            lhs = residues[n + m]
+            if lhs != residues[n]:
+                violations.append(record(Violation, (n, m, lhs, residues[n])))
     return CongruenceReport(mode, n_terms, checked, tuple(violations))
 
 

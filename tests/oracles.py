@@ -737,6 +737,15 @@ def congruence_as_dict(report) -> dict:
     }
 
 
+def congruence_csv_by_str(report) -> str:
+    """The congruence CSV: a header, then str() of each violation's fields,
+    comma-separated, one line each."""
+    lines = ["n,modulus,lhs_residue,rhs_residue"]
+    for v in report.violations:
+        lines.append(",".join([str(v.n), str(v.modulus), str(v.lhs_residue), str(v.rhs_residue)]))
+    return "".join(line + "\n" for line in lines)
+
+
 def audit_as_dict(report) -> dict:
     """The audit report with its congruence and Hankel rows as dicts."""
     obj = formats.audit_json_obj(report)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -307,6 +308,23 @@ class TestSingularDirections:
             func = RationalFunction(IntPolynomial.of([1]), IntPolynomial.of(den), len(den) - 1)
             with pytest.raises(NumericError, match="a pole underflows to 0"):
                 singular_directions(func)
+
+    def test_unresolved_root_is_a_numeric_error(self):
+        # a primitive squarefree factor of degree 5 (lowest degree first)
+        # whose root near -0.552 the root finder leaves with a residual about
+        # 2.5e6 times the one allowed; the residual is written as a float
+        factor = [
+            3080656486296031, 176187847829846575028861116093,
+            319178351181432342698044194523, -15207722238102647703707510219,
+            -27550002846232163528827181250, -265908056268750,
+        ]
+        func = RationalFunction(IntPolynomial.of([1]), IntPolynomial.of(factor), 5)
+        with pytest.raises(NumericError) as info:
+            singular_directions(func)
+        assert re.fullmatch(
+            r"root residuals exceed tolerance 1e-09: \[\(\(-0\.55[0-9]*\+0j\), [0-9.e+]+\)\]",
+            str(info.value),
+        ), str(info.value)
 
     def test_linear_pole_past_the_float_range_is_a_numeric_error(self):
         func = RationalFunction(IntPolynomial.of([1]), IntPolynomial.of([2**1100, 1]), 1)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from pseudopoly import (
     VERDICT_CONGRUENCE_VIOLATION,
     VERDICT_POLYNOMIAL,
     VERDICT_UNDETERMINED,
+    check_congruences,
     eval_polynomial_sequence,
     generate_hall_like,
     generate_primary,
@@ -121,6 +123,17 @@ class TestRuzsaAudit:
         monkeypatch.setattr(hankel, "_leading_minors", last_minor_moved)
         with pytest.raises(InternalInvariantError, match=r"determinants at orders \[16\]"):
             ruzsa_audit(ExactSequence.of(terms))  # a new object: the memo is not read
+
+    def test_integral_fractions_audit_as_their_ints(self):
+        # integral Fractions are stored as ints, so the audit, defined for
+        # integer sequences, reads them as the ints they are
+        as_fractions = ExactSequence([Fraction(k * k, 1) for k in range(12)])
+        as_ints = ExactSequence([k * k for k in range(12)])
+        assert as_fractions.is_integer
+        assert check_congruences(as_fractions, "full") == check_congruences(as_ints, "full")
+        report = ruzsa_audit(as_fractions)
+        assert report.verdict == VERDICT_POLYNOMIAL
+        assert dumps(audit_json_obj(report)) == dumps(audit_json_obj(ruzsa_audit(as_ints)))
 
     def test_random_polynomials_get_polynomial_verdict(self):
         rng = random.Random(97)

@@ -64,11 +64,13 @@ COMMANDS = {
     "rational": ["rational", "detect"],
     "congruences": ["check", "congruences", "--mode", "full"],
 }
-# Reports made mostly of repeated rows: 11,965 congruence violations, a
-# Hankel table of orders 1..80 (primes up to 79 as valuation keys), and the
-# audit of an order-3 C-finite prefix with 506 violations.
+# Reports made mostly of repeated rows: 11,965 congruence violations, as
+# JSON and as CSV, a Hankel table of orders 1..80 (primes up to 79 as
+# valuation keys), and the audit of an order-3 C-finite prefix with 506
+# violations.
 ROW_HEAVY = [
     ("congruences-random-160", "random-160", COMMANDS["congruences"]),
+    ("congruences-csv-random-160", "random-160", COMMANDS["congruences"] + ["--format", "csv"]),
     ("hankel-primary-160", "primary-160", COMMANDS["hankel"]),
     ("audit-json-cfinite", "cfinite", COMMANDS["audit-json"]),
 ]
@@ -160,6 +162,8 @@ GOLDEN = {
     "congruences-random-160": (1, "5f8fba2bd4fc39322cba2395d67843a8a976ac5c44f0da8656ff3a61928a5cfe"),
     "hankel-primary-160": (0, "f09692b5fefb12b31515413091494e101d063202eceb3da50fe7f4e3d48e03ef"),
     "audit-json-cfinite": (1, "5927912ad0bf63affba26e90c0cb170845b9cdb1af2d3a6e94088b98d5098258"),
+    # recorded before the violation fields were read from a table of str(k)
+    "congruences-csv-random-160": (1, "ac0bf30ddbf2bfe6bd15e2edbf075051d534738b2c3ea6262c7c560817fd0bc1"),
     # recorded before polyarith moved from arithmetic over Q to integers
     "audit-json-octic": (0, "1a1b47eeb12520998bdef06b6c780962e8df4f1a37e8d0fc5aaffcba728b5b8a"),
     "audit-json-cfinite12": (1, "5ac8a588e3c6ef6ebd079874e6d121935ac4d987331c84a482eab9b0ad1803c2"),

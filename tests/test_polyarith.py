@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import mul
-from pseudopoly import InputError
+from pseudopoly import InputError, InternalInvariantError, polyarith
 from pseudopoly.polyarith import (
     clear_to_int_pair,
     degree,
@@ -104,6 +104,18 @@ class TestSquarefree:
         p = mul(mul([1, 1], [1, 1]), mul([1, 1], [2, 1]))  # (1+x)^3 (2+x)
         for factor, _ in squarefree_factors(p):
             assert degree(gcd_poly(factor, derivative(factor))) == 0
+
+    def test_gcd_that_does_not_divide_raises(self, monkeypatch):
+        # Yun's loop divides by gcd(b, b'), which divides b exactly; a gcd
+        # with an extra factor x + 1 leaves a remainder, which is a bug
+        p = mul(mul([-2, 1], [-2, 1]), [3, 1])  # (x - 2)^2 (x + 3)
+        assert squarefree_factors(p) == [([3, 1], 1), ([-2, 1], 2)]
+        original = polyarith.gcd_poly
+        monkeypatch.setattr(
+            polyarith, "gcd_poly", lambda a, b: mul(original(a, b), [1, 1])
+        )
+        with pytest.raises(InternalInvariantError, match="polynomial quotient is not exact"):
+            squarefree_factors(p)
 
     def test_factors_are_primitive_with_positive_lead(self):
         # (3 - 2x)^2 (5 + 4x^2) times the content -7

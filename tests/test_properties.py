@@ -39,6 +39,7 @@ from oracles import (
     binomial_sums,
     certificate_by_differences,
     congruence_as_dict,
+    congruence_csv_by_str,
     congruences_by_pairs,
     det_table_by_order,
     detect_function,
@@ -96,6 +97,7 @@ from pseudopoly import hankel
 from pseudopoly.analytic import _cluster_directions, singular_directions
 from pseudopoly.formats import (
     audit_json_obj,
+    congruence_csv,
     congruence_json_obj,
     dumps,
     hankel_json_obj,
@@ -930,6 +932,8 @@ def test_congruences_match_pair_scan(terms, mode):
     report = check_congruences(seq, mode)
     assert report == congruences_by_pairs(seq, mode)
     assert type(report.violations) is tuple
+    # tuple equality alone would accept plain tuples as records
+    assert all(type(v) is Violation for v in report.violations)
 
 
 @st.composite
@@ -989,17 +993,27 @@ json_scalar_kinds = [
     st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])),
     json_text,
 ]
+
+
+def json_containers(children):
+    """Lists, tuples and str-keyed dicts of ``children``.  A def, not a
+    lambda: Hypothesis reads extend's source to see that it uses its
+    argument, and warns that it cannot recurse when it does not see it;
+    a def's source is read whole."""
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(json_text, children, max_size=5),
+    )
+
+
 json_values = st.recursive(
     st.one_of(
         *json_scalar_kinds,
         *(st.lists(kind, max_size=6) for kind in json_scalar_kinds),
         st.lists(st.one_of(st.booleans(), st.integers()), max_size=6),
     ),
-    lambda children: st.one_of(
-        st.lists(children, max_size=5),
-        st.lists(children, max_size=3).map(tuple),
-        st.dictionaries(json_text, children, max_size=5),
-    ),
+    json_containers,
     max_leaves=30,
 )
 
@@ -1036,10 +1050,19 @@ hankel_records = st.builds(
     st.booleans(),
     st.one_of(st.floats(), st.sampled_from([None, -0.0, 1e-300, 5e-324])),
 )
+# fields on both sides of the writers' table of str(k) for k < 512, and
+# residues below it
+violation_fields = st.integers(0, 1100)
+violation_residues = st.integers(-1100, 1100)
 violations = st.lists(st.builds(
-    Violation, st.integers(0, 10**4), st.integers(2, 10**4), st.integers(0, 10**4),
-    st.integers(0, 10**4),
+    Violation, violation_fields, violation_fields, violation_residues, violation_residues,
 ), max_size=8)
+# every field at 511, 512 and -1, the table's edges, then at 0 and at the
+# ends of the strategy's ranges
+EDGE_REPORT = CongruenceReport("full", 513, 0, (
+    Violation(511, 512, -1, 511), Violation(512, -1, 511, 512), Violation(-1, 511, 512, -1),
+    Violation(0, 1, 0, 0), Violation(1100, 1100, -1100, 1100),
+))
 congruence_reports = st.builds(
     CongruenceReport, st.sampled_from(["primary", "full"]), st.integers(0, 10**4),
     st.integers(0, 10**6), violations.map(tuple),
@@ -1070,11 +1093,20 @@ BASE_AUDIT = ruzsa_audit(ExactSequence.of([2**n for n in range(12)]))
     ],
     CongruenceReport("full", 3, 3, (Violation(0, 2, 1, 0),)),
 )
+@example([], EDGE_REPORT)
 def test_row_writers_match_dict_rows(records, congruence):
     assert dumps(hankel_json_obj(records)) == json_dumps(hankel_rows_as_dicts(records))
     assert dumps(congruence_json_obj(congruence)) == json_dumps(congruence_as_dict(congruence))
     report = BASE_AUDIT._replace(hankel=tuple(records), congruence=congruence)
     assert dumps(audit_json_obj(report)) == json_dumps(audit_as_dict(report))
+
+
+@PROPERTY
+@given(congruence_reports)
+@example(CongruenceReport("full", 0, 0, ()))
+@example(EDGE_REPORT)
+def test_congruence_csv_matches_str_of_each_field(report):
+    assert congruence_csv(report) == congruence_csv_by_str(report)
 
 
 @PROPERTY

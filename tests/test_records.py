@@ -150,8 +150,13 @@ class _Small(enum.IntEnum):
 )
 def test_is_integer_is_a_slot_set_once(terms):
     seq = ExactSequence(terms)
-    expected = all(isinstance(t, int) for t in terms)
+    # an integral Fraction is stored as its int
+    expected = all(isinstance(t, int) or t.denominator == 1 for t in terms)
     assert seq.is_integer is expected
+    assert seq.terms == tuple(terms)
+    assert [type(t) is Fraction for t in seq.terms] == [
+        isinstance(t, Fraction) and t.denominator != 1 for t in terms
+    ]
     for twin in (pickle.loads(pickle.dumps(seq)), copy.copy(seq), copy.deepcopy(seq)):
         assert twin.is_integer is expected
     with pytest.raises(AttributeError):

@@ -190,6 +190,23 @@ class TestGeneratePrimary:
         with pytest.raises(InputError):
             generate_primary([1, 2], 5)
 
+    def test_output_that_breaks_the_congruences_raises(self, monkeypatch):
+        # the output's primary congruences are verified, not assumed: a
+        # transform whose last term is moved by 1 breaks a_9 = a_2 (mod 7),
+        # the first violation in (n, modulus) order
+        original = sequences.inverse_binomial_transform
+
+        def last_term_moved(b):
+            a = list(original(b))
+            return ExactSequence(a[:-1] + [a[-1] + 1])
+
+        monkeypatch.setattr(sequences, "inverse_binomial_transform", last_term_moved)
+        with pytest.raises(InternalInvariantError, match=(
+            r"failed the primary congruence check at "
+            r"Violation\(n=2, modulus=7, lhs_residue=5, rhs_residue=4\)"
+        )):
+            generate_primary([1, -2, 0, 3, 1, 1, 0, 2, -1, 4], 10)
+
 
 class TestGenerateHallLike:
     def test_single_term(self):

@@ -211,6 +211,12 @@ def _write(obj, append, newline: str) -> None:
         return
     kinds = set(map(type, obj))
     encode = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    if encode is _float_repr:
+        text = separator.join(map(float.__repr__, obj))
+        if "n" in text:  # only nan and inf have an "n"; json writes NaN, Infinity
+            text = separator.join(map(_float_repr, obj))
+        append("[" + inner + text + newline + "]")
+        return
     if encode is not None:
         append("[" + inner + separator.join(map(encode, obj)) + newline + "]")
         return

@@ -151,7 +151,8 @@ def _leading_minors(values: list[int], n: int) -> tuple[list[int], list[int] | N
     is lc^(e+1) / psc_d^e, so a zero minor is only a degree jump.  Of a
     remainder by a divisor of degree d, the prefix decides the coefficients
     of degree >= 2n + 1 - d, which are all that the orders up to n need: it
-    keeps those 2d - 2n - 1, and dividend and divisor stay of equal length.
+    keeps those 2d - 2n - 1, and a dividend's coefficients past its
+    divisor's length are never read.
     When all of them vanish every larger minor is 0, and the remainder is
     V G mod x^(2n) with deg V = L = 2n - d, the order of the last nonzero
     minor (Brent, Gustavson and Yun 1980): sum_j v_j a_(k+j) = 0 for
@@ -166,8 +167,11 @@ def _leading_minors(values: list[int], n: int) -> tuple[list[int], list[int] | N
     nonzero, is one pass over the coefficients: the pseudo-quotient of F by
     G is q_0 x + q_1 with q_0 = lc f_0 and q_1 = lc f_1 - f_0 g_1, and each
     kept remainder coefficient is (lc^2 f_(i+2) - q_0 g_(i+2) - q_1 g_(i+1))
-    / beta.  A degree jump (delta >= 2) strips one leading coefficient per
-    pass, delta + 1 times, and divides by beta after them.
+    / beta.  There psc = lc and beta = lc_f psc_f, and a remainder whose
+    first coefficient is nonzero is the next divisor as it stands, its
+    divisor the next dividend.  A degree jump (delta >= 2) strips one
+    leading coefficient per pass, delta + 1 times, and divides by beta
+    after them.
     """
     prefix = values[: max(2 * n - 1, 0)]
     skip = next((i for i, v in enumerate(prefix) if v), len(prefix))
@@ -182,20 +186,29 @@ def _leading_minors(values: list[int], n: int) -> tuple[list[int], list[int] | N
     while True:
         delta = deg_f - deg_g
         lc_g = divisor[0]
-        psc_g = lc_g**delta // psc_f ** (delta - 1)
         k = 2 * n - deg_g
-        minors += [0] * (delta - 1) + [-psc_g if k % 4 in (2, 3) else psc_g]
-        if deg_g <= n:
-            return minors[:n], None
-        beta = -lc_f * (-psc_f) ** delta
         if delta == 1:  # every step of a normal sequence
+            psc_g = lc_g
+            minors.append(-lc_g if k % 4 in (2, 3) else lc_g)
+            if deg_g <= n:
+                return minors[:n], None
+            beta = lc_f * psc_f
             scale = lc_g * lc_g
             q_0 = lc_g * dividend[0]
             q_1 = lc_g * dividend[1] - dividend[0] * divisor[1]
-            quotient = [q_0, q_1]
             rem = [(scale * f - q_0 * g - q_1 * h) // beta
                    for f, g, h in zip(dividend[2:], divisor[2:], divisor[1:])]
+            steps.append(((q_0, q_1), scale, beta))
+            if rem[0]:  # a normal step again: the dividend may run longer
+                dividend, divisor = divisor, rem
+                deg_f, deg_g, lc_f, psc_f = deg_g, deg_g - 1, lc_g, lc_g
+                continue
         else:
+            psc_g = lc_g**delta // psc_f ** (delta - 1)
+            minors += [0] * (delta - 1) + [-psc_g if k % 4 in (2, 3) else psc_g]
+            if deg_g <= n:
+                return minors[:n], None
+            beta = -lc_f * (-psc_f) ** delta
             rem, quotient = dividend, []
             for _ in range(delta + 1):
                 lead = rem[0]
@@ -203,7 +216,7 @@ def _leading_minors(values: list[int], n: int) -> tuple[list[int], list[int] | N
                 rem = [lc_g * x - lead * y for x, y in zip(rem[1:], divisor[1:])]
             scale = lc_g ** (delta + 1)
             rem = [x // beta for x in rem]
-        steps.append((quotient, scale, beta))
+            steps.append((quotient, scale, beta))
         skip = next((i for i, x in enumerate(rem) if x), len(rem))
         if skip == len(rem):
             prev, den = [], [1]
@@ -228,8 +241,8 @@ def _clear_denominators(terms) -> tuple[list[int], int]:
 # (sequence, its terms times D, the lcm D of their denominators or None for
 # an integer sequence, then the minors and the recurrence denominator of one
 # remainder sequence at order n).  It is replaced whole and never edited, so
-# concurrent callers stay correct.
-_memo: tuple | None = None
+# concurrent callers stay correct; the first entry holds no sequence.
+_memo: tuple = (None, None, None, [], None)
 
 
 def _remainder_sequence(seq: ExactSequence, n: int) -> tuple:
@@ -238,7 +251,7 @@ def _remainder_sequence(seq: ExactSequence, n: int) -> tuple:
     object or a smaller order."""
     global _memo
     memo = _memo
-    if memo is None or memo[0] is not seq or len(memo[3]) < n:
+    if memo[0] is not seq or len(memo[3]) < n:
         if seq.is_integer:
             values, scale = list(seq.terms), None
         else:
@@ -253,17 +266,21 @@ def hankel_determinant(seq: ExactSequence, n: int) -> Exact:
 
     Answered from the memo of ``seq``'s remainder sequence, which holds its
     leading minors and its recurrence; a larger order or another sequence
-    object runs the remainder sequence again at order n.
+    object runs the remainder sequence again at order n.  A memo entry at
+    order m was made for a prefix of at least 2m - 1 terms, so an order
+    1 .. m that it holds needs no check.
     """
-    if n == 0:
-        return 1
-    if n < 0:
-        raise InputError("order must be >= 0")
-    if len(seq) < 2 * n - 1:
-        raise InputError(
-            f"order {n} needs a prefix of length {2 * n - 1}, have {len(seq)}"
-        )
-    _, _, scale, minors, _ = _remainder_sequence(seq, n)
+    held, _, scale, minors, _ = _memo
+    if held is not seq or not 0 < n <= len(minors):
+        if n == 0:
+            return 1
+        if n < 0:
+            raise InputError("order must be >= 0")
+        if len(seq) < 2 * n - 1:
+            raise InputError(
+                f"order {n} needs a prefix of length {2 * n - 1}, have {len(seq)}"
+            )
+        _, _, scale, minors, _ = _remainder_sequence(seq, n)
     det = minors[n - 1]
     return det if scale is None else Fraction(det, scale**n)
 
@@ -285,8 +302,14 @@ def _exact_valuation(value: Exact, p: int) -> int | float:
         return _exact_valuation(value.numerator, p) - _exact_valuation(
             value.denominator, p
         )
-    x = abs(value)
-    v = 0
+    # v = 0 and v = 1, the usual answers, take one division each
+    x, remainder = divmod(value, p)
+    if remainder:
+        return 0
+    x, remainder = divmod(x, p)
+    if remainder:
+        return 1
+    v = 2
     # Divide by p, p^2, p^4, ... while each divides, then try the same
     # powers from the largest down: a valuation v costs O(log v) divisions.
     climbed = []  # (p^step, step) for each division on the way up
@@ -324,11 +347,11 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
     and the required divisor is the product of those p^(n - p).  A zero
     determinant has every valuation math.inf and divides.  A nonzero int
     determinant is divided once by the required divisor; when that divides,
-    v_p = n - p + v_p(quotient), and only the primes of gcd(quotient,
-    P_(n-1)) are climbed.  Any other row, a Fraction or an int off its
-    divisor, climbs every prime from p.  Row 1's growth |a_0|
-    needs no determinant, so it is checked before the remainder sequence
-    runs.
+    v_p = n - p + v_p(quotient), and otherwise v_p = v_p(det).  Either way
+    only the primes of its gcd with P_(n-1) are climbed, the others have
+    v_p = 0 there.  A Fraction climbs every prime from p.  Row 1's growth
+    |a_0| needs no determinant, so it is checked before the remainder
+    sequence runs.
     """
     if n_max < 0:
         raise InputError("n_max must be >= 0")
@@ -340,7 +363,8 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
         root_abs_exact(seq.terms[0], 1, "det H_1")
     is_prime_flag = sieve_flags(max(0, n_max - 1))
     primorial = primorials(max(0, n_max - 1))
-    inf = math.inf
+    exp, gcd, inf, log = math.exp, math.gcd, math.inf, math.log
+    record = tuple.__new__
     required_divisor = 1
     below = []  # the primes <= n - 1
     records = []
@@ -351,23 +375,33 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
         if det == 0:
             valuations = tuple([(p, n - p, inf) for p in below])
             divisible, growth = True, None
-        else:
-            growth = root_abs_exact(det, n * n, f"det H_{n}")
-            # a Fraction takes the per-prime path, as an int off its divisor
-            quotient, remainder = divmod(det, required_divisor) if type(det) is int else (0, 1)
+        elif type(det) is int:
+            try:  # root_abs_exact's expression, so the same float
+                growth = exp(log(abs(det)) / (n * n))
+            except OverflowError:
+                growth = root_abs_exact(det, n * n, f"det H_{n}")
+            quotient, remainder = divmod(det, required_divisor)
             if remainder:
-                valuations = tuple([(p, n - p, _exact_valuation(det, p)) for p in below])
+                shared = gcd(det, primorial[n - 1])
+                valuations = tuple([
+                    (p, n - p, 0 if shared % p else _exact_valuation(det, p))
+                    for p in below
+                ])
                 divisible = all(actual >= required for _, required, actual in valuations)
             else:
-                shared = math.gcd(quotient, primorial[n - 1])
+                shared = gcd(quotient, primorial[n - 1])
                 valuations = tuple([
                     (p, n - p, n - p + (0 if shared % p else _exact_valuation(quotient, p)))
                     for p in below
                 ])
                 divisible = True
-        records.append(
-            HankelRecord(n, det, required_divisor, valuations, divisible, growth)
-        )
+        else:
+            growth = root_abs_exact(det, n * n, f"det H_{n}")
+            valuations = tuple([(p, n - p, _exact_valuation(det, p)) for p in below])
+            divisible = all(actual >= required for _, required, actual in valuations)
+        records.append(record(
+            HankelRecord, (n, det, required_divisor, valuations, divisible, growth)
+        ))
     return records
 
 

@@ -110,16 +110,30 @@ def growth_rate(seq: ExactSequence) -> GrowthReport:
     """Per-term |a_n|^(1/n) and the max over the upper half of the prefix.
 
     ``per_n[0]`` is a placeholder 0.0 (no n-th root is defined at n = 0);
-    terms equal to zero also report 0.0.
+    terms equal to zero also report 0.0.  An integer sequence takes them
+    from one comprehension of root_abs_exact's expression, so the floats
+    are the same; a rational one, or a root past the float range, goes
+    term by term through root_abs_exact, which names the term.
     """
-    n_terms = len(seq)
+    terms = seq.terms
+    n_terms = len(terms)
     if n_terms < 4:
         raise InputError("growth estimation needs at least 4 terms")
-    per_n = [0.0] * n_terms
-    for n in range(1, n_terms):
-        t = seq[n]
-        if t != 0:
-            per_n[n] = root_abs_exact(t, n, f"a_{n}")
+    per_n = None
+    if seq.is_integer:
+        exp, log = math.exp, math.log
+        try:
+            per_n = [0.0] + [
+                exp(log(abs(t)) / n) if t else 0.0 for n, t in enumerate(terms[1:], 1)
+            ]
+        except OverflowError:
+            pass  # the loop below names the term
+    if per_n is None:
+        per_n = [0.0] * n_terms
+        for n in range(1, n_terms):
+            t = terms[n]
+            if t != 0:
+                per_n[n] = root_abs_exact(t, n, f"a_{n}")
     tail_start = (n_terms + 1) // 2  # ceil(N/2)
     tail_sup = max(per_n[tail_start:], default=0.0)
     return GrowthReport(tail_sup, tuple(per_n), tail_start)

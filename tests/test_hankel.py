@@ -228,6 +228,15 @@ class TestHankelTable:
         with pytest.raises(InputError, match=r"^\|det H_1\|\^\(1/1\) is past the float range$"):
             hankel_table(seq, 30)
 
+    @pytest.mark.parametrize("second", [10**700, Fraction(10**700, 3)])
+    def test_later_row_growth_past_the_float_range_names_its_order(self, second):
+        # det H_2 = a_0 a_2 - a_1^2 is about 10^1400, and its fourth root
+        # about 10^350; an int row computes it inline, a Fraction row by
+        # root_abs_exact
+        seq = ExactSequence.of([1, second, 1])
+        with pytest.raises(InputError, match=r"^\|det H_2\|\^\(1/4\) is past the float range$"):
+            hankel_table(seq, 2)
+
 
 class TestTransformInvariance:
     def test_fibonacci(self):

@@ -133,8 +133,8 @@ def c_finite(draw, values):
 
 
 @st.composite
-def primary_or_hall(draw):
-    length = draw(st.integers(12, 22))
+def primary_or_hall(draw, lengths=st.integers(12, 22)):
+    length = draw(lengths)
     if draw(st.booleans()):
         support = draw(st.integers(1, length))
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=support, max_size=support))
@@ -351,6 +351,27 @@ def wide_prefixes(draw):
     return draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=41))
 
 
+@st.composite
+def congruent_with_one_change(draw):
+    """A primorial-scaled or Hall prefix of 21 to 41 terms, perhaps with
+    one term zeroed or moved.  Its normal steps run on coefficients of up to
+    about 600 bits; a primorial-scaled polynomial (finite support) ends
+    them with a vanishing remainder, and a changed term where it is first
+    read with a degree jump."""
+    terms = draw(primary_or_hall(st.integers(21, 41)))
+    change = draw(st.sampled_from([None, "zero", "move"]))
+    if change is not None:
+        i = draw(st.integers(0, len(terms) - 1))
+        terms[i] = 0 if change == "zero" else terms[i] + draw(st.sampled_from([1, -1]))
+    return terms
+
+
+# the primorial-scaled polynomial of degree 15 on 41 terms: 16 normal steps
+# on coefficients of up to 292 bits, then every kept coefficient vanishes
+PRIMARY_DEGREE_15 = list(generate_primary(
+    [5, -1, 1, 4, -5, 3, -2, -5, -3, -4, 1, 3, -2, 2, 4, -4] + [0] * 25, 41
+))
+
 # full-rank prefixes run only steps with delta = 1; sparse and zero-led ones
 # and collapsing C-finite tails run degree jumps (delta >= 2) too
 remainder_prefixes = st.one_of(
@@ -360,6 +381,7 @@ remainder_prefixes = st.one_of(
     c_finite(st.integers(-3, 3)),
     c_finite(fractions),
     st.lists(fractions, min_size=1, max_size=25),
+    congruent_with_one_change(),
 )
 
 
@@ -370,6 +392,9 @@ remainder_prefixes = st.one_of(
 @example([0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 5], 0)  # a0 = a1 = a2 = 0
 @example([0, 1, 1, 2, 3, 5, 8, 13, 21], 0)  # every kept coefficient vanishes
 @example([2**300 + 1, -(2**299), 3, 2**300 - 1, 7], 0)
+@example(PRIMARY_DEGREE_15, 0)  # 16 normal steps, then a vanishing remainder
+# a_36 moved: 16 normal steps, then a jump over det H_17 .. det H_20 = 0
+@example([t + (i == 36) for i, t in enumerate(PRIMARY_DEGREE_15)], 0)
 def test_one_pass_steps_match_pseudo_division(terms, cut):
     values, _ = hankel._clear_denominators(ExactSequence.of(terms).terms)
     n = max(0, (len(values) + 1) // 2 - cut)
@@ -390,6 +415,11 @@ def test_one_pass_steps_match_pseudo_division(terms, cut):
 @example(2, 10, 0, -3, 1)  # exactly the required exponent, negative
 @example(2, 10, -1, 1, 1)  # one short of it
 @example(3, 4, 2, 1, 3**5)  # a Fraction with p in its denominator
+@example(3, 0, 0, 7, 1)  # v = 0, one division
+@example(3, 0, 1, -7, 1)  # v = 1, two divisions
+@example(3, 0, 2, 7, 1)  # v = 2, where the climb starts
+@example(3, 0, 3, -7, 1)  # v = 3
+@example(3, 5000, 0, 7, 1)  # 3^5000 * 7: v in the thousands
 def test_valuation_from_the_required_exponent_matches_climbing(p, hint, k, m, den):
     # value = m p^(hint + k) / den: p^hint, the exponent a Hankel row
     # requires, may divide it or not, m and den may hold more factors of p,
@@ -1026,6 +1056,24 @@ json_values = st.recursive(
 @example({"f": FloatSubclass(2.5), "i": IntSubclass(3), "l": [FloatSubclass(-0.0)]})
 def test_writer_matches_json_encoder(value):
     assert dumps(value) == json_dumps(value)
+
+
+float_lists = st.lists(
+    st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.5e-310])),
+    min_size=1, max_size=12,
+)
+
+
+@PROPERTY
+@given(float_lists)
+@example([0.5, 1e-300, -0.0, 5e-324])  # no nan or inf: one join
+@example([0.5, math.nan])
+@example([-math.inf, 2.5e-310, math.inf])
+def test_float_lists_match_json_encoder(values):
+    # an all-float list such as growth.per_n is one join of float.__repr__,
+    # written again with json's spellings when it holds nan or inf
+    assert dumps(values) == json_dumps(values)
+    assert dumps({"per_n": values}) == json_dumps({"per_n": values})
 
 
 # Report rows: determinants past the 4,300-digit str limit and as

@@ -18,6 +18,7 @@ from pseudopoly import (
     polynomial_certificate,
 )
 from pseudopoly import binomial, sequences
+from pseudopoly.core import root_abs_exact
 
 CUBIC = IntPolynomial.of([2, -7, 0, 1])  # x^3 - 7x + 2
 
@@ -131,6 +132,23 @@ class TestGrowthRate:
     def test_too_short(self):
         with pytest.raises(InputError):
             growth_rate(ExactSequence.of([1, 2, 3]))
+
+    @pytest.mark.parametrize("terms", [
+        [5, -7, 0, 10**300, 3**80],
+        [Fraction(1, 3), -7, 0, Fraction(10**300, 7), 3**80],
+    ])
+    def test_roots_are_root_abs_exact(self, terms):
+        # an integer prefix takes its roots from one comprehension, a
+        # rational one term by term: the same floats either way
+        per_n = growth_rate(ExactSequence.of(terms)).per_n
+        assert per_n == tuple(
+            [0.0] + [root_abs_exact(t, n, "") if t else 0.0 for n, t in enumerate(terms[1:], 1)]
+        )
+
+    @pytest.mark.parametrize("first", [1, Fraction(1, 3)])
+    def test_a_root_past_the_float_range_names_its_term(self, first):
+        with pytest.raises(InputError, match=r"^\|a_1\|\^\(1/1\) is past the float range$"):
+            growth_rate(ExactSequence.of([first, 10**400, 3, 4]))
 
 
 class TestPolynomialCertificate:

@@ -45,7 +45,8 @@ class Hedgehog(NamedTuple("Hedgehog", [("endpoints", tuple)])):
                 raise InputError("hedgehog endpoints must be nonzero")
             if math.hypot(z.real, z.imag) == math.inf:
                 raise InputError(f"hedgehog endpoint {z} has a modulus past the float range")
-        args = [cmath.phase(z) for z in pts]
+        # not cmath.phase, which raises OverflowError when the argument underflows
+        args = [math.atan2(z.imag, z.real) for z in pts]
         if len(_cluster_directions(args, DIRECTION_TOL)) < len(args):
             raise InputError(
                 "two endpoints share a direction; "
@@ -185,9 +186,12 @@ def asymptotic_ratio(n: int) -> float:
 def dubinin_bound(hedgehog: Hedgehog) -> float:
     """Sharp upper bound max|endpoint| / 4^(1/r) for the transfinite
     diameter of a hedgehog with r spikes; equality holds exactly for the
-    vertices of a regular r-gon centered at the origin."""
-    r = hedgehog.spike_count
-    return max(abs(z) for z in hedgehog.endpoints) / 4 ** (1 / r)
+    vertices of a regular r-gon centered at the origin.  The endpoints are
+    nonzero, so a bound that underflows to 0 is a NumericError."""
+    bound = max(map(abs, hedgehog.endpoints)) / 4 ** (1 / hedgehog.spike_count)
+    if bound == 0:
+        raise NumericError("the bound underflows to 0 in floating point")
+    return bound
 
 
 def polya_bound_for_series(rho: float, r: int) -> float:
@@ -338,7 +342,9 @@ def singular_directions(function: RationalFunction) -> SingularityReport:
     if any(z == 0 for z, _ in poles):
         raise NumericError("a pole underflows to 0 in floating point")
     poles.sort(key=lambda pm: (pm[0].real, pm[0].imag))
-    directions = _cluster_directions([cmath.phase(z) for z, _ in poles], DIRECTION_TOL)
+    directions = _cluster_directions(
+        [math.atan2(z.imag, z.real) for z, _ in poles], DIRECTION_TOL
+    )
     radius = min(abs(z) for z, _ in poles)
     return SingularityReport(
         tuple(poles), tuple(directions), len(directions), radius

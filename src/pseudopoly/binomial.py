@@ -57,13 +57,13 @@ def binomial_transform(seq: ExactSequence) -> ExactSequence:
     partial sums as the inverse, one table of N^2/2 additions.
     """
     signed = _partial_sum_table(_alternate_signs(seq.terms))
-    return ExactSequence.of(_alternate_signs(signed))
+    return ExactSequence(_alternate_signs(signed))
 
 
 def inverse_binomial_transform(seq: ExactSequence) -> ExactSequence:
     """a_n = sum_{k=0}^{n} C(n,k) b_k; exact inverse of the forward transform,
     read off the partial-sum table of ``seq``."""
-    return ExactSequence.of(_partial_sum_table(seq.terms))
+    return ExactSequence(_partial_sum_table(seq.terms))
 
 
 def lower_triangular_rows(n: int) -> list[list[int]]:

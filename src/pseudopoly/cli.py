@@ -307,11 +307,7 @@ def _cmd_theta(args) -> int:
 
 def _cmd_capacity(args) -> int:
     hedgehog = _parse_endpoints(args.endpoints)
-    bound = dubinin_bound(hedgehog)
-    obj = {
-        "endpoints": [[z.real, z.imag] for z in hedgehog.endpoints],
-        "bound": bound,
-    }
+    obj = {"endpoints": [[z.real, z.imag] for z in hedgehog.endpoints]}
     if args.action == "estimate":
         _check_limit("--leja-points", args.leja_points, LEJA_POINTS_LIMIT)
         _check_limit(
@@ -324,6 +320,8 @@ def _cmd_capacity(args) -> int:
         )
         obj["leja_points"] = args.leja_points
         obj["discretization"] = args.discretization
+    # after the estimate, so that its input errors (exit 2) come first
+    obj["bound"] = dubinin_bound(hedgehog)
     _emit(formats.dumps(obj))
     return OK
 

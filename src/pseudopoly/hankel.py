@@ -343,15 +343,16 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
     """Audit rows for orders 1..n_max: determinant, required divisor P_0 ...
     P_(n-1), per-prime valuations, and normalized growth |det|^(1/n^2).
 
-    A prime p <= n - 1 is required to divide det H_n to the exponent n - p,
-    and the required divisor is the product of those p^(n - p).  A zero
-    determinant has every valuation math.inf and divides.  A nonzero int
-    determinant is divided once by the required divisor; when that divides,
-    v_p = n - p + v_p(quotient), and otherwise v_p = v_p(det).  Either way
-    only the primes of its gcd with P_(n-1) are climbed, the others have
-    v_p = 0 there.  A Fraction climbs every prime from p.  Row 1's growth
-    |a_0| needs no determinant, so it is checked before the remainder
-    sequence runs.
+    A prime p <= n - 1 is required to divide det H_n to the exponent n - p;
+    the required divisor, the product of those p^(n - p), divides det iff
+    every v_p(det) >= n - p.  A zero determinant has every valuation
+    math.inf and divides.  A nonzero int determinant's one division by the
+    required divisor decides ``divisible``, and the valuations climb the
+    quotient, v_p = n - p + v_p(quotient), when it divides, else the
+    determinant.  Only the primes of that number's gcd with P_(n-1) are
+    climbed, the others have v_p = 0 in it.  A Fraction climbs every prime
+    from p.  Row 1's growth |a_0| needs no determinant, so it is checked
+    before the remainder sequence runs.
     """
     if n_max < 0:
         raise InputError("n_max must be >= 0")
@@ -381,20 +382,14 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
             except OverflowError:
                 growth = root_abs_exact(det, n * n, f"det H_{n}")
             quotient, remainder = divmod(det, required_divisor)
-            if remainder:
-                shared = gcd(det, primorial[n - 1])
-                valuations = tuple([
-                    (p, n - p, 0 if shared % p else _exact_valuation(det, p))
-                    for p in below
-                ])
-                divisible = all(actual >= required for _, required, actual in valuations)
-            else:
-                shared = gcd(quotient, primorial[n - 1])
-                valuations = tuple([
-                    (p, n - p, n - p + (0 if shared % p else _exact_valuation(quotient, p)))
-                    for p in below
-                ])
-                divisible = True
+            divisible = not remainder
+            climbed = quotient if divisible else det
+            shared = gcd(climbed, primorial[n - 1])
+            valuations = tuple([
+                (p, n - p, (n - p if divisible else 0)
+                 + (0 if shared % p else _exact_valuation(climbed, p)))
+                for p in below
+            ])
         else:
             growth = root_abs_exact(det, n * n, f"det H_{n}")
             valuations = tuple([(p, n - p, _exact_valuation(det, p)) for p in below])

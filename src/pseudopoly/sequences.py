@@ -60,7 +60,7 @@ def eval_polynomial_sequence(poly: IntPolynomial, length: int) -> ExactSequence:
     """The integer sequence (P(0), ..., P(length-1))."""
     if length < 1:
         raise InputError("length must be >= 1")
-    return ExactSequence.of(poly(n) for n in range(length))
+    return ExactSequence(poly(n) for n in range(length))
 
 
 def check_congruences(seq: ExactSequence, mode: str = "primary") -> CongruenceReport:
@@ -165,20 +165,18 @@ def polynomial_certificate(seq: ExactSequence) -> int | None:
 def generate_primary(coeffs: Sequence[int] | ExactSequence, length: int) -> ExactSequence:
     """Generate a sequence passing the primary congruence check.
 
-    Scales coeffs[n] by the n-th primorial and applies the inverse binomial
-    transform.  The primary congruence property of the result is verified,
-    not assumed; a verification failure raises InternalInvariantError.
+    Scales coeffs[n], each read by as_exact_int (an ExactSequence's terms
+    too), by the n-th primorial and applies the inverse binomial transform.
+    The primary congruence property of the result is verified, not assumed;
+    a verification failure raises InternalInvariantError.
     """
     if length < 1:
         raise InputError("length must be >= 1")
-    if isinstance(coeffs, ExactSequence):
-        c = coeffs.integer_terms()
-    else:
-        c = [as_exact_int(v, "coefficient") for v in coeffs]
+    c = [as_exact_int(v, "coefficient") for v in coeffs]
     if len(c) < length:
         raise InputError(f"need at least {length} coefficients, got {len(c)}")
     table = primorials(length - 1)
-    b = ExactSequence.of(table[n] * c[n] for n in range(length))
+    b = ExactSequence(table[n] * c[n] for n in range(length))
     result = inverse_binomial_transform(b)
     if length >= 2:
         report = check_congruences(result, "primary")
@@ -221,7 +219,7 @@ def generate_hall_like(length: int, perturbation: Sequence[int]) -> ExactSequenc
         a.append(sum(diag) % modulus + pert[n] * modulus)
         diag = list(accumulate(diag, operator.sub, initial=a[-1]))
         moduli.append(modulus)
-    result = ExactSequence.of(a)
+    result = ExactSequence(a)
     for k, (d, m) in enumerate(zip(binomial_transform(result), moduli)):
         if d % m:
             raise InternalInvariantError(

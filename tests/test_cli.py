@@ -337,6 +337,23 @@ class TestThetaAndCapacity:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--endpoints", "5e-324"],
+            ["estimate", "--endpoints", "5e-324", "--leja-points", "2",
+             "--discretization", "16"],
+        ],
+        ids=["bound", "estimate"],
+    )
+    def test_bound_that_underflows_to_zero_is_a_numeric_failure(self, argv, capsys):
+        # 5e-324 / 4 rounds to 0, which used to be printed as the bound,
+        # below the estimate of 5e-324 beside it
+        assert run_cli(["capacity", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure:")
+
     def test_bad_endpoint_is_input_error(self, capsys):
         assert run_cli(["capacity", "bound", "--endpoints", "1,spam"]) == 2
 

@@ -1,6 +1,8 @@
 """The CLI contract on hostile input, for every command that reads a
 sequence: ``audit``, ``transform``, ``check congruences``, ``hankel
-table|verify-divisibility|verify-invariance`` and ``rational detect``.
+table|verify-divisibility|verify-invariance`` and ``rational detect``; and
+for every command that reads only its arguments: ``gen poly|primary|hall``,
+``theta table`` and ``capacity bound|estimate``.
 
 Each case runs in process through ``run_cli``, with its text on stdin.
 Whatever the input, the exit code is 0, 1 or 2; an input error (2) prints
@@ -8,7 +10,8 @@ nothing on stdout and one ``error:`` message on stderr; and no output holds
 ``NaN`` or ``Infinity``, JSON output parsing without them.  Prefixes have at
 most 60 terms, and terms past the float range at most 8, since the
 remainder sequence behind ``audit``, ``hankel`` and ``rational`` has no
-cost guard yet.
+cost guard yet.  Sizes drawn for the argument commands are small or past
+their limits, which exit 2 before any work.
 """
 import io
 import json
@@ -18,7 +21,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from pseudopoly.cli import INPUT_ERROR, run_cli
+from pseudopoly.cli import (
+    CANDIDATE_LIMIT,
+    GEN_TERMS_LIMIT,
+    INPUT_ERROR,
+    LEJA_POINTS_LIMIT,
+    THETA_N_MAX_LIMIT,
+    build_parser,
+    run_cli,
+)
 
 CONTRACT = settings(max_examples=150, deadline=None, database=None)
 
@@ -125,6 +136,10 @@ def _no_constant(name):
 @example(["rational", "detect", "--format", "json"], "nan\ninf\n")
 @example(["check", "congruences", "--mode", "full", "--format", "csv"], "")
 def test_sequence_commands_keep_the_cli_contract(argv, text):
+    _check_contract(argv, text)
+
+
+def _check_contract(argv, text=""):
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(text)
@@ -140,5 +155,77 @@ def test_sequence_commands_keep_the_cli_contract(argv, text):
         assert stdout == ""
         assert stderr.startswith("error:")
     assert "NaN" not in stdout and "Infinity" not in stdout
-    if stdout and (argv[-1] == "json" or "verify-invariance" in argv):
+    if stdout and getattr(_PARSER.parse_args(argv), "format", "json") == "json":
         json.loads(stdout, parse_constant=_no_constant)
+
+
+def _subcommands(parser):
+    """The subcommand parsers of ``parser``, by name."""
+    return next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+
+
+_PARSER = build_parser()
+_ARGUMENT_COMMANDS = [
+    (group, name, parser)
+    for group in ("gen", "theta", "capacity")
+    for name, parser in _subcommands(_subcommands(_PARSER)[group]).items()
+]
+# int options: small values, or values past every limit the option has
+_int_values = {
+    "n_max": st.one_of(st.integers(-2, 40), st.sampled_from(
+        [GEN_TERMS_LIMIT + 1, THETA_N_MAX_LIMIT + 1, 2**63])),
+    "leja_points": st.one_of(
+        st.integers(-1, 40), st.sampled_from([LEJA_POINTS_LIMIT + 1, 2**63])),
+    "discretization": st.one_of(
+        st.integers(-1, 64), st.sampled_from([CANDIDATE_LIMIT + 1, 2**63])),
+    "seed": st.one_of(st.integers(), st.sampled_from([-(2**63), 2**64, 10**100])),
+    "bound": st.one_of(st.integers(-3, 5), st.sampled_from([10**40, -(10**40)])),
+}
+_number_word = st.sampled_from(
+    ["5e-324", "-5e-324", "1e-323", "2.2250738585072014e-308", "1.7e308", "1e400",
+     "nan", "inf", "-inf", "0", "-0.0", "1", "-1", "1.5", "1j", "-2-2j", "1e-300j",
+     "(1+2j)", "1e308+1e308j", "nanj", "infj", "spam", "", " "])
+_endpoint = st.one_of(
+    _number_word, st.floats().map(repr), st.complex_numbers().map(str),
+    st.integers(-(10**400), 10**400).map(str))
+_coefficient = st.one_of(
+    st.integers(-3, 3).map(str), st.integers(-(10**40), 10**40).map(str), _number_word)
+_text_values = {
+    "endpoints": st.lists(_endpoint, min_size=1, max_size=4).map(",".join),
+    "coeffs": st.builds(
+        lambda quote, terms: "[" + ", ".join(f"{quote}{t}{quote}" for t in terms) + "]",
+        st.sampled_from(['"', '"', ""]), st.lists(_coefficient, max_size=6)),
+}
+
+
+@st.composite
+def argument_commands(draw):
+    """argv of one command that reads only its arguments: each option's
+    value drawn from the parser's own choices, or as a hostile int, float or
+    complex string, and each optional option given sometimes."""
+    group, name, parser = draw(st.sampled_from(_ARGUMENT_COMMANDS))
+    argv = [group, name]
+    for action in parser._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        if not (action.required or draw(_sometimes)):
+            continue
+        if action.choices:
+            value = draw(st.sampled_from(action.choices))
+        elif action.type is int:
+            value = draw(_int_values[action.dest])
+        else:
+            value = draw(_text_values[action.dest])
+        argv.append(f"{action.option_strings[0]}={value}")
+    return argv
+
+
+@CONTRACT
+@given(argument_commands())
+@example(["capacity", "bound", "--endpoints=5e-324"])
+@example(["capacity", "estimate", "--endpoints=5e-324,-5e-324", "--leja-points=2",
+          "--discretization=16"])
+@example(["capacity", "bound", "--endpoints=1e300+1e-30j"])  # its argument underflows
+@example(["gen", "poly", "--coeffs=[\"5e-324\"]", "--n-max=3"])
+def test_argument_commands_keep_the_cli_contract(argv):
+    _check_contract(argv)

@@ -309,9 +309,15 @@ def table_prefixes(draw):
 @given(table_prefixes(), st.integers(0, 3))
 @example(([k**4 - 3 * k for k in range(16)], True), 0)
 @example(([-t for t in generate_primary([1, -2, 0, 3] * 4, 15)], True), 0)
+# a_1 moved: rows 4 to 8 do not divide, yet meet n - p at some primes
+@example(([t + (k == 1) for k, t in enumerate(generate_primary([1, -2, 0, 3] * 4, 15))],
+          False), 0)
+# negative determinants and quotients
+@example(([-t for t in generate_hall_like(15, [1, -1, 2, 0, -2] * 3)], True), 0)
 def test_table_rows_match_eliminations_by_order(prefix, cut):
-    # a divisible row from one division by its required divisor, a zero row
-    # without a valuation, any other row prime by prime
+    # a nonzero int row's divisibility from its one division by the
+    # required divisor, its valuations from the quotient or the
+    # determinant, a zero row without a valuation
     terms, congruent = prefix
     seq = ExactSequence.of(terms)
     n_max = max(0, max_order(seq) - cut)

@@ -282,6 +282,7 @@ def test_generators_reject_entries_that_are_not_integers(bad):
 def test_generators_accept_exact_integer_entries():
     entries = [1, "3", Fraction(4, 2), 0]
     assert generate_primary(entries, 4) == generate_primary([1, 3, 2, 0], 4)
+    assert generate_primary(ExactSequence.of(entries), 4) == generate_primary(entries, 4)
     assert generate_hall_like(4, entries) == generate_hall_like(4, [1, 3, 2, 0])
 
 

@@ -87,8 +87,17 @@ def _add_format(parser, choices, default):
     parser.add_argument("--format", choices=choices, default=default)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose rejections are one ``error:`` line and exit 2,
+    as every other input error is; add_subparsers makes each subcommand's
+    parser of this class too."""
+
+    def error(self, message):
+        self.exit(INPUT_ERROR, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pseudopoly",
         description="Exact congruence, Hankel determinant and capacity audits "
         "for integer sequences.",
@@ -340,7 +349,7 @@ def run_cli(argv: list[str]) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 0 for --help, 2 for usage errors
+        # argparse exits 0 for --help, 2 for rejected arguments
         return int(exc.code or 0)
     handlers = {
         "gen": _cmd_gen,

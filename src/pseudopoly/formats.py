@@ -7,17 +7,20 @@ first.  Report serialization is deterministic: identical inputs yield
 byte-identical JSON, the bytes of json.dumps(obj, sort_keys=True, indent=2).
 The rows a report repeats (Hankel table rows and congruence violations)
 are written a whole array per call and one f-string per row, not built as
-one dict per row.  Violation rows, as JSON and as CSV, take each field
-below 512 from one module-level tuple of str(k), between constant pieces
-joined once per call.
+one dict per row.  Violation rows, as JSON and as CSV, are written straight
+from the residues of a congruence report's failing moduli, with no record
+built: every field is below the report's length, so its text, with the
+constant pieces around it, comes from a table made once per call.
 """
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 import reprlib
 import sys
+from bisect import bisect_right
 from json.encoder import encode_basestring_ascii
 
 from .analytic import DIRECTION_TOL, RESIDUAL_TOL, SingularityReport, theta_rows
@@ -246,27 +249,34 @@ def dumps(obj) -> str:
     return "".join(pieces)
 
 
-# str(k) for k < 512: every field of a `check congruences` row is below its
-# 500-term limit, so these rows take their numbers from here.
+# str(k) for k < 512, which covers every field of a `check congruences`
+# report under its 500-term limit.
 _SMALL = tuple(map(str, range(512)))
 
 
-def _violation_rows(violations, newline: str) -> list[str]:
-    """The rows of a violation list, each unpacked and written from the
-    constant pieces between its fields; a field in 0..511 takes its text
-    from _SMALL, any other is formatted as str() would."""
+def _numbers(length: int) -> tuple[str, ...]:
+    """str(k) for every k < length: each field of a congruence report's
+    violation rows (n, the modulus and both residues) is below its length."""
+    return _SMALL[:length] if length <= 512 else tuple(map(str, range(length)))
+
+
+def _violation_rows(report: CongruenceReport, newline: str) -> list[str]:
+    """The rows of a report's violations, in the order ``violations`` lists
+    them, written straight from the residues in ``failing``: each row is
+    four texts, of its lhs residue, its modulus, its n and its rhs residue,
+    each made with the constant pieces around it once per call."""
     i = newline + "  "
-    lhs_key = "{" + i + '"lhs_residue": '
-    modulus_key = "," + i + '"modulus": '
-    n_key = "," + i + '"n": '
-    rhs_key = "," + i + '"rhs_residue": '
-    close = newline + "}"
-    s = _SMALL
-    return [f"{lhs_key}{s[lhs] if 0 <= lhs < 512 else lhs}"
-            f"{modulus_key}{s[m] if 0 <= m < 512 else m}"
-            f"{n_key}{s[n] if 0 <= n < 512 else n}"
-            f"{rhs_key}{s[rhs] if 0 <= rhs < 512 else rhs}{close}"
-            for n, m, lhs, rhs in violations]
+    text = _numbers(report.length)
+    lhs_texts = [f'{{{i}"lhs_residue": {k}' for k in text]
+    rhs_texts = [f"{k}{newline}}}" for k in text]
+    n_texts = [f',{i}"n": {k},{i}"rhs_residue": ' for k in text[:-1]]
+    moduli = [m for m, _ in report.failing]
+    failing = [(m, residues, f',{i}"modulus": {text[m]}') for m, residues in report.failing]
+    last = report.length - 1
+    return [f"{lhs_texts[lhs]}{modulus_text}{n_text}{rhs_texts[rhs]}"
+            for n, n_text in enumerate(n_texts)
+            for m, residues, modulus_text in failing[:bisect_right(moduli, last - n)]
+            if (lhs := residues[n + m]) != (rhs := residues[n])]
 
 
 def congruence_json_obj(report: CongruenceReport) -> dict:
@@ -275,16 +285,22 @@ def congruence_json_obj(report: CongruenceReport) -> dict:
         "length": report.length,
         "checked_pairs": report.checked_pairs,
         "ok": report.ok,
-        "violations": _Rows(report.violations, _violation_rows),
+        "violations": _Rows(report, _violation_rows) if report.failing else [],
     }
 
 
 def congruence_csv(report: CongruenceReport) -> str:
-    s = _SMALL
+    """The header, then one line per violation, n-major, written from the
+    residues in ``failing`` as ``_violation_rows`` writes its rows."""
+    text = _numbers(report.length)
+    fields = [k + "," for k in text]
+    moduli = [m for m, _ in report.failing]
+    last = report.length - 1
     lines = ["n,modulus,lhs_residue,rhs_residue"]
-    lines += [f"{s[n] if 0 <= n < 512 else n},{s[m] if 0 <= m < 512 else m},"
-              f"{s[lhs] if 0 <= lhs < 512 else lhs},{s[rhs] if 0 <= rhs < 512 else rhs}"
-              for n, m, lhs, rhs in report.violations]
+    lines += [f"{n_field}{fields[m]}{fields[lhs]}{text[rhs]}"
+              for n, n_field in enumerate(fields[:-1])
+              for m, residues in report.failing[:bisect_right(moduli, last - n)]
+              if (lhs := residues[n + m]) != (rhs := residues[n])]
     return "\n".join(lines) + "\n"
 
 
@@ -432,7 +448,10 @@ def audit_csv(report: AuditReport) -> str:
         ("degree", "" if report.degree is None else report.degree),
         ("length", report.length),
         ("congruence_checked", report.congruence.checked_pairs),
-        ("congruence_violations", len(report.congruence.violations)),
+        ("congruence_violations", sum(
+            sum(map(operator.ne, residues[m:], residues))
+            for m, residues in report.congruence.failing
+        )),
         ("growth_tail_sup", repr(report.growth.tail_sup)),
         ("growth_below_bound", str(report.growth_below_bound).lower()),
         ("hankel_orders", len(report.hankel)),

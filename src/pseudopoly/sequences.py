@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
@@ -32,16 +33,40 @@ class Violation(NamedTuple):
 
 
 class CongruenceReport(NamedTuple):
-    """Result of checking a_{n+m} = a_n (mod m) over a prefix."""
+    """Result of checking a_{n+m} = a_n (mod m) over a prefix.
+
+    The evidence is ``failing``: for each modulus m whose residues are not
+    m-periodic, in ascending m, the pair (m, the residues a_n mod m for
+    every n of the prefix).  Every violation is read off them, so the
+    records are listed only when ``violations`` is read.
+    """
 
     mode: str  # "primary" (prime moduli) or "full" (all moduli)
     length: int  # prefix length that was checked
     checked_pairs: int
-    violations: tuple[Violation, ...]
+    failing: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.failing
+
+    @property
+    def violations(self) -> tuple[Violation, ...]:
+        """The (n, m) pairs that fail, in lexicographic (n, modulus) order:
+        at each n, every failing modulus m with n + m inside the prefix
+        whose residues of a_{n+m} and a_n differ.  Listed anew on each
+        read, each record made as Violation._make makes it, by
+        tuple.__new__."""
+        failing = self.failing
+        last = self.length - 1
+        moduli = [m for m, _ in failing]
+        record = tuple.__new__
+        return tuple([
+            record(Violation, (n, m, lhs, rhs))
+            for n in range(last)
+            for m, residues in failing[:bisect_right(moduli, last - n)]
+            if (lhs := residues[n + m]) != (rhs := residues[n])
+        ])
 
 
 class GrowthReport(NamedTuple):
@@ -70,11 +95,9 @@ def check_congruences(seq: ExactSequence, mode: str = "primary") -> CongruenceRe
     n + p inside the prefix; mode="full" checks every modulus k >= 1.
     Each modulus m accounts for N - m (n, m) pairs, and all of them hold
     exactly when the residues a_n mod m are m-periodic: one residue list
-    per modulus and one list comparison decide it, and a prefix whose
-    moduli all pass returns at once.  Violations are read off the residues
-    of the moduli that fail, in lexicographic (n, modulus) order, each
-    pair's residues read once and each record made as Violation._make
-    makes it, by tuple.__new__, without a Python-level call per violation.
+    per modulus and one list comparison decide it.  The residues of the
+    moduli that fail are the report's ``failing``; no violation record is
+    made here.
     """
     if mode not in ("primary", "full"):
         raise InputError(f"unknown mode {mode!r}")
@@ -87,23 +110,12 @@ def check_congruences(seq: ExactSequence, mode: str = "primary") -> CongruenceRe
     else:
         moduli = list(range(1, n_terms))
     checked = n_terms * len(moduli) - sum(moduli)
-    failing = []  # (m, the residues a_n mod m) for each modulus that fails
+    failing = []
     for m in moduli:
         residues = [x % m for x in a]
         if residues[m:] != residues[:-m]:
-            failing.append((m, residues))
-    if not failing:
-        return CongruenceReport(mode, n_terms, checked, ())
-    violations = []
-    record = tuple.__new__
-    for n in range(n_terms - 1):
-        for m, residues in failing:
-            if n + m >= n_terms:
-                break
-            lhs = residues[n + m]
-            if lhs != residues[n]:
-                violations.append(record(Violation, (n, m, lhs, residues[n])))
-    return CongruenceReport(mode, n_terms, checked, tuple(violations))
+            failing.append((m, tuple(residues)))
+    return CongruenceReport(mode, n_terms, checked, tuple(failing))
 
 
 def growth_rate(seq: ExactSequence) -> GrowthReport:

@@ -79,7 +79,7 @@ from pseudopoly.hankel import (
 )
 from pseudopoly.polyarith import degree, derivative, trim
 from pseudopoly.primes import sieve_primes
-from pseudopoly.sequences import CongruenceReport, Violation
+from pseudopoly.sequences import Violation
 
 
 def hankel_rows(values: list, n: int) -> list[list]:
@@ -495,9 +495,12 @@ def certificate_by_differences(terms: list) -> int | None:
     return None
 
 
-def congruences_by_pairs(seq: ExactSequence, mode: str = "primary") -> CongruenceReport:
-    """``check_congruences`` by one big-integer difference and one ``%`` for
-    every (n, m) pair, n-major, counting the pairs as it goes."""
+def congruences_by_pairs(
+    seq: ExactSequence, mode: str = "primary"
+) -> tuple[str, int, int, tuple[Violation, ...]]:
+    """``check_congruences``'s mode, length, checked pairs and violations,
+    by one big-integer difference and one ``%`` for every (n, m) pair,
+    n-major, counting the pairs as it goes; each violation its own record."""
     a = seq.integer_terms()
     n_terms = len(a)
     moduli = sieve_primes(n_terms - 1) if mode == "primary" else list(range(1, n_terms))
@@ -510,7 +513,7 @@ def congruences_by_pairs(seq: ExactSequence, mode: str = "primary") -> Congruenc
             checked += 1
             if (a[n + m] - a[n]) % m != 0:
                 violations.append(Violation(n, m, a[n + m] % m, a[n] % m))
-    return CongruenceReport(mode, n_terms, checked, tuple(violations))
+    return mode, n_terms, checked, tuple(violations)
 
 
 def audit_verdict_by_stages(seq: ExactSequence) -> tuple[str, int | None]:

@@ -1,5 +1,8 @@
+import csv
+import io
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,7 @@ from pseudopoly import (
     ruzsa_audit,
 )
 from pseudopoly import hankel
+from pseudopoly.cli import run_cli
 from pseudopoly.formats import audit_json_obj, dumps
 
 CUBIC = IntPolynomial.of([2, -7, 0, 1])
@@ -134,6 +138,23 @@ class TestRuzsaAudit:
         report = ruzsa_audit(as_fractions)
         assert report.verdict == VERDICT_POLYNOMIAL
         assert dumps(audit_json_obj(report)) == dumps(audit_json_obj(ruzsa_audit(as_ints)))
+
+    @pytest.mark.parametrize("kind", ["random", "c-finite"])
+    def test_csv_counts_every_violation(self, kind, monkeypatch, capsys):
+        # the summary row counts the violations from the residues of the
+        # failing moduli; the records listed from them are counted here
+        if kind == "random":
+            rng = random.Random(40)
+            terms = [rng.randint(-10**6, 10**6) for _ in range(40)]
+        else:  # a_(n+2) = a_(n+1) + 2 a_n
+            terms = [3, 1]
+            while len(terms) < 30:
+                terms.append(terms[-1] + 2 * terms[-2])
+        report = ruzsa_audit(ExactSequence.of(terms))
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(map(str, terms))))
+        assert run_cli(["audit", "--format", "csv"]) == 1
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert int(row["congruence_violations"]) == len(report.congruence.violations) > 0
 
     def test_random_polynomials_get_polynomial_verdict(self):
         rng = random.Random(97)

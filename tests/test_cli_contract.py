@@ -7,8 +7,10 @@ for every command that reads only its arguments: ``gen poly|primary|hall``,
 Each case runs in process through ``run_cli``, with its text on stdin.
 Whatever the input, the exit code is 0, 1 or 2; an input error (2) prints
 nothing on stdout and one ``error:`` message on stderr; and no output holds
-``NaN`` or ``Infinity``, JSON output parsing without them.  Prefixes have at
-most 60 terms, and terms past the float range at most 8, since the
+``NaN`` or ``Infinity``, JSON output parsing without them.  Now and then an
+int option is given text that is not an int, and a choice option a value
+that is none of its choices, which argparse itself rejects.  Prefixes have
+at most 60 terms, and terms past the float range at most 8, since the
 remainder sequence behind ``audit``, ``hankel`` and ``rational`` has no
 cost guard yet.  Sizes drawn for the argument commands are small or past
 their limits, which exit 2 before any work.
@@ -33,8 +35,25 @@ from pseudopoly.cli import (
 
 CONTRACT = settings(max_examples=150, deadline=None, database=None)
 
-_order = st.integers(-1, 32)
 _sometimes = st.sampled_from([True, False, False])
+_rarely = st.sampled_from([True] + [False] * 5)
+# text that int() rejects: a float, a word, nothing, and an int past the
+# interpreter's 4,300-digit limit for int from str
+_not_int = st.sampled_from(["1.5", "abc", "", "9" * 5000])
+_not_a_choice = st.sampled_from(["", "JSON", "xml", "full ", "-"])
+
+
+def _int_value(draw, ints):
+    """An int from ``ints``, or now and then text that is not an int."""
+    return draw(_not_int if draw(_rarely) else ints)
+
+
+def _choice(draw, choices):
+    """One of ``choices``, or now and then a value that is none of them."""
+    return draw(_not_a_choice if draw(_rarely) else st.sampled_from(choices))
+
+
+_order = st.integers(-1, 32)
 _format = {
     "audit": ["json", "csv"],
     "transform": ["lines", "json"],
@@ -55,26 +74,26 @@ def commands(draw):
     if kind == "audit":
         argv = ["audit"]
         if draw(_sometimes):
-            argv.append(f"--window={draw(_order)}")
+            argv.append(f"--window={_int_value(draw, _order)}")
         if draw(_sometimes):
-            argv.append(f"--n-max={draw(_order)}")
+            argv.append(f"--n-max={_int_value(draw, _order)}")
         if draw(_sometimes):
             argv.append("--growth-bound=" + draw(st.sampled_from(
                 ["nan", "inf", "-inf", "0", "-1", "2.718281828459045", "1e308"])))
     elif kind == "transform":
         argv = ["transform", draw(st.sampled_from(["forward", "inverse"]))]
     elif kind == "check":
-        argv = ["check", "congruences", "--mode", draw(st.sampled_from(["primary", "full"]))]
+        argv = ["check", "congruences", f"--mode={_choice(draw, ['primary', 'full'])}"]
     elif kind == "detect":
         argv = ["rational", "detect"]
         if draw(_sometimes):
-            argv.append(f"--window={draw(_order)}")
+            argv.append(f"--window={_int_value(draw, _order)}")
     else:
         argv = ["hankel", kind]
         if draw(_sometimes):
-            argv.append(f"--n-max={draw(_order)}")
+            argv.append(f"--n-max={_int_value(draw, _order)}")
     if kind != "verify-invariance":
-        argv += ["--format", draw(st.sampled_from(_format[kind]))]
+        argv.append(f"--format={_choice(draw, _format[kind])}")
     return argv
 
 
@@ -135,6 +154,7 @@ def _no_constant(name):
 @example(["hankel", "table", "--format", "json"], "[" * 100_000 + "]" * 100_000)
 @example(["rational", "detect", "--format", "json"], "nan\ninf\n")
 @example(["check", "congruences", "--mode", "full", "--format", "csv"], "")
+@example(["audit", "--window", "abc"], "1\n2\n3\n")
 def test_sequence_commands_keep_the_cli_contract(argv, text):
     _check_contract(argv, text)
 
@@ -211,9 +231,9 @@ def argument_commands(draw):
         if not (action.required or draw(_sometimes)):
             continue
         if action.choices:
-            value = draw(st.sampled_from(action.choices))
+            value = _choice(draw, action.choices)
         elif action.type is int:
-            value = draw(_int_values[action.dest])
+            value = _int_value(draw, _int_values[action.dest])
         else:
             value = draw(_text_values[action.dest])
         argv.append(f"{action.option_strings[0]}={value}")
@@ -227,5 +247,6 @@ def argument_commands(draw):
           "--discretization=16"])
 @example(["capacity", "bound", "--endpoints=1e300+1e-30j"])  # its argument underflows
 @example(["gen", "poly", "--coeffs=[\"5e-324\"]", "--n-max=3"])
+@example(["gen", "primary", "--n-max=1.5"])
 def test_argument_commands_keep_the_cli_contract(argv):
     _check_contract(argv)

@@ -966,10 +966,27 @@ def test_congruences_match_pair_scan(terms, mode):
     # difference per (n, m) pair: same pair count, same violations in order
     seq = ExactSequence.of(terms)
     report = check_congruences(seq, mode)
-    assert report == congruences_by_pairs(seq, mode)
+    assert (report.mode, report.length, report.checked_pairs, report.violations) == (
+        congruences_by_pairs(seq, mode)
+    )
     assert type(report.violations) is tuple
     # tuple equality alone would accept plain tuples as records
     assert all(type(v) is Violation for v in report.violations)
+
+
+@PROPERTY
+@given(congruence_prefixes, st.sampled_from(["primary", "full"]))
+@example([0] * 11 + [210], "primary")
+@example([0] * 11 + [2520], "full")
+@example([-7, 4], "full")
+def test_failing_holds_each_violated_modulus_with_its_residues(terms, mode):
+    # exactly the moduli of the pair scan's violations, ascending, each with
+    # a_n mod m for every n of the prefix
+    seq = ExactSequence.of(terms)
+    report = check_congruences(seq, mode)
+    violated = sorted({v.modulus for v in congruences_by_pairs(seq, mode)[3]})
+    assert report.failing == tuple((m, tuple(a % m for a in terms)) for m in violated)
+    assert report.ok == (not violated)
 
 
 @st.composite
@@ -1104,22 +1121,21 @@ hankel_records = st.builds(
     st.booleans(),
     st.one_of(st.floats(), st.sampled_from([None, -0.0, 1e-300, 5e-324])),
 )
-# fields on both sides of the writers' table of str(k) for k < 512, and
-# residues below it
-violation_fields = st.integers(0, 1100)
-violation_residues = st.integers(-1100, 1100)
-violations = st.lists(st.builds(
-    Violation, violation_fields, violation_fields, violation_residues, violation_residues,
-), max_size=8)
-# every field at 511, 512 and -1, the table's edges, then at 0 and at the
-# ends of the strategy's ranges
-EDGE_REPORT = CongruenceReport("full", 513, 0, (
-    Violation(511, 512, -1, 511), Violation(512, -1, 511, 512), Violation(-1, 511, 512, -1),
-    Violation(0, 1, 0, 0), Violation(1100, 1100, -1100, 1100),
-))
+# -1 at both ends of 515 terms: for every m from 2 to 513, the pairs (0, m)
+# and (514 - m, m) fail, one residue m - 1 and the other 0.  So n, the
+# modulus and both residues reach 511 and 512, the ends of the writers'
+# table of str(k) for k < 512, and the 515 terms take a per-call table.
+EDGE_REPORT = check_congruences(ExactSequence([-1] + [0] * 513 + [-1]), "full")
+# reports of random, C-finite and congruent prefixes with one term changed,
+# as check_congruences makes them
 congruence_reports = st.builds(
-    CongruenceReport, st.sampled_from(["primary", "full"]), st.integers(0, 10**4),
-    st.integers(0, 10**6), violations.map(tuple),
+    check_congruences,
+    st.one_of(
+        st.lists(small_ints, min_size=2, max_size=40),
+        c_finite(st.integers(-3, 3)),
+        congruent_with_one_change(),
+    ).map(ExactSequence),
+    st.sampled_from(["primary", "full"]),
 )
 BASE_AUDIT = ruzsa_audit(ExactSequence.of([2**n for n in range(12)]))
 
@@ -1145,7 +1161,7 @@ BASE_AUDIT = ruzsa_audit(ExactSequence.of([2**n for n in range(12)]))
         HankelRecord(5, 0, 288, ((2, 3, math.inf), (3, 2, math.inf)), True, None),
         HankelRecord(6, 2**9 * 3**5, 8640, ((2, 4, 9), (3, 3, 5), (5, 1, 0)), False, 2.0),
     ],
-    CongruenceReport("full", 3, 3, (Violation(0, 2, 1, 0),)),
+    check_congruences(ExactSequence([0, 0, 1]), "full"),  # (0, 2, 1, 0) only
 )
 @example([], EDGE_REPORT)
 def test_row_writers_match_dict_rows(records, congruence):

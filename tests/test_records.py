@@ -21,6 +21,7 @@ from pseudopoly import (
     InputError,
     IntPolynomial,
     RationalFunction,
+    check_congruences,
     ruzsa_audit,
 )
 
@@ -45,6 +46,12 @@ def _values():
             AuditConfig(window=4),
             "AuditConfig(growth_bound=2.718281828459045, window=4, n_max=None)",
         ),
+        "congruence": (
+            # 2^n breaks the congruences mod 2 and mod 3
+            check_congruences(ExactSequence.of([2**n for n in range(5)]), "primary"),
+            "CongruenceReport(mode='primary', length=5, checked_pairs=5, "
+            "failing=((2, (1, 0, 0, 0, 0)), (3, (1, 2, 1, 2, 1))))",
+        ),
         "report": (
             ruzsa_audit(ExactSequence.of([n * n for n in range(12)])),
             "AuditReport(length=12, config=AuditConfig(growth_bound=2.718281828459045, "
@@ -60,6 +67,7 @@ FIELDS = {
     "rational": "order",
     "hedgehog": "endpoints",
     "config": "window",
+    "congruence": "failing",
     "report": "verdict",
 }
 

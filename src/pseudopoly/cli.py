@@ -41,7 +41,7 @@ INTERNAL_ERROR = 3
 
 # Size guards: larger requests are input errors, not unbounded work.
 THETA_N_MAX_LIMIT = 10**6
-LEJA_POINTS_LIMIT = 1024
+LEJA_POINTS_LIMIT = 128  # an estimate costs Leja points x candidates; about 1 s at both limits
 CANDIDATE_LIMIT = 10**6  # endpoints x discretization points per estimate
 CONGRUENCE_TERMS_LIMIT = 500  # terms; --mode full checks and may report N^2/2 pairs
 GEN_TERMS_LIMIT = 2000  # --n-max of gen; hall costs about N^3 digit operations
@@ -232,6 +232,16 @@ def _emit(text: str) -> None:
     sys.stdout.write(text)
 
 
+def _emit_report(fmt: str, name: str, value) -> None:
+    """Write value's report in --format json or csv, through formats'
+    ``<name>_json_obj`` and ``dumps`` or its ``<name>_csv``, each looked up
+    on the module when called."""
+    if fmt == "json":
+        _emit(formats.dumps(getattr(formats, f"{name}_json_obj")(value)))
+    else:
+        _emit(getattr(formats, f"{name}_csv")(value))
+
+
 def _cmd_gen(args) -> int:
     _check_limit("--n-max", args.n_max, GEN_TERMS_LIMIT)
     if args.generator != "poly" and args.bound < 0:
@@ -261,10 +271,7 @@ def _cmd_check(args) -> int:
     seq = _read_sequence(args)
     _check_limit("sequence length", len(seq), CONGRUENCE_TERMS_LIMIT)
     report = check_congruences(seq, args.mode)
-    if args.format == "json":
-        _emit(formats.dumps(formats.congruence_json_obj(report)))
-    else:
-        _emit(formats.congruence_csv(report))
+    _emit_report(args.format, "congruence", report)
     return OK if report.ok else PROPERTY_FAILED
 
 
@@ -286,13 +293,10 @@ def _cmd_hankel(args) -> int:
     if args.action == "verify-invariance":
         _check_limit("sequence length", len(seq), INVARIANCE_TERMS_LIMIT)
         report = verify_transform_invariance(seq, n_max)
-        _emit(formats.dumps(formats.invariance_json_obj(report)))
+        _emit_report(args.format, "invariance", report)
         return OK if report.passed else PROPERTY_FAILED
     records = hankel_table(seq, n_max)
-    if args.format == "json":
-        _emit(formats.dumps(formats.hankel_json_obj(records)))
-    else:
-        _emit(formats.hankel_csv(records))
+    _emit_report(args.format, "hankel", records)
     if args.action == "verify-divisibility":
         return OK if all(r.divisible for r in records) else PROPERTY_FAILED
     return OK
@@ -301,10 +305,7 @@ def _cmd_hankel(args) -> int:
 def _cmd_rational(args) -> int:
     seq = _read_sequence(args)
     detection = detect_rationality(seq, args.window)
-    if args.format == "json":
-        _emit(formats.dumps(formats.rationality_json_obj(detection)))
-    else:
-        _emit(formats.rationality_csv(detection))
+    _emit_report(args.format, "rationality", detection)
     return OK
 
 
@@ -338,10 +339,7 @@ def _cmd_capacity(args) -> int:
 def _cmd_audit(args) -> int:
     seq = _read_sequence(args)
     report = ruzsa_audit(seq, AuditConfig(args.growth_bound, args.window, args.n_max))
-    if args.format == "json":
-        _emit(formats.dumps(formats.audit_json_obj(report)))
-    else:
-        _emit(formats.audit_csv(report))
+    _emit_report(args.format, "audit", report)
     return OK if report.verdict != VERDICT_CONGRUENCE_VIOLATION else PROPERTY_FAILED
 
 

@@ -178,27 +178,22 @@ class _Rows:
         self.render = render
 
 
-def _write_rows(rows: _Rows, newline: str) -> str:
-    if not rows.items:
-        return "[]"
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(rows.render(rows.items, inner)) + newline + "]"
-
-
 def _write(obj, append, newline: str) -> None:
     """Append the pieces of the indent-2 JSON of a list, tuple, dict or
     _Rows; newline is the line break and indent of the line obj starts on.
     Module-level, so that no call makes a closure that refers to itself:
     that would be a reference cycle holding every piece until the cyclic
     collector runs."""
-    if type(obj) is _Rows:
-        append(_write_rows(obj, newline))
-        return
-    if not obj:
+    if not (obj.items if type(obj) is _Rows else obj):
         append("{}" if isinstance(obj, dict) else "[]")
         return
     inner = newline + "  "
     separator = "," + inner
+    if type(obj) is _Rows:  # three pieces, which the final join copies once
+        append("[" + inner)
+        append(separator.join(obj.render(obj.items, inner)))
+        append(newline + "]")
+        return
     if isinstance(obj, dict):
         prefix = "{" + inner
         for key in sorted(obj):  # encode_basestring_ascii rejects a non-str key

@@ -20,6 +20,7 @@ from .core import (
     InputError,
     InternalInvariantError,
     as_exact_int,
+    log_abs_exact,
     root_abs_exact,
 )
 from .primes import sieve_primes
@@ -54,15 +55,13 @@ class CongruenceReport(NamedTuple):
     def violations(self) -> tuple[Violation, ...]:
         """The (n, m) pairs that fail, in lexicographic (n, modulus) order:
         at each n, every failing modulus m with n + m inside the prefix
-        whose residues of a_{n+m} and a_n differ.  Listed anew on each
-        read, each record made as Violation._make makes it, by
-        tuple.__new__."""
+        whose residues of a_{n+m} and a_n differ.  Listed anew from
+        ``failing`` on each read."""
         failing = self.failing
         last = self.length - 1
         moduli = [m for m, _ in failing]
-        record = tuple.__new__
         return tuple([
-            record(Violation, (n, m, lhs, rhs))
+            Violation(n, m, lhs, rhs)
             for n in range(last)
             for m, residues in failing[:bisect_right(moduli, last - n)]
             if (lhs := residues[n + m]) != (rhs := residues[n])
@@ -122,30 +121,25 @@ def growth_rate(seq: ExactSequence) -> GrowthReport:
     """Per-term |a_n|^(1/n) and the max over the upper half of the prefix.
 
     ``per_n[0]`` is a placeholder 0.0 (no n-th root is defined at n = 0);
-    terms equal to zero also report 0.0.  An integer sequence takes them
-    from one comprehension of root_abs_exact's expression, so the floats
-    are the same; a rational one, or a root past the float range, goes
-    term by term through root_abs_exact, which names the term.
+    terms equal to zero also report 0.0.  Every root, of an int or a
+    Fraction term, comes from one comprehension of root_abs_exact's own
+    expression, so the floats are the same; when a root is past the float
+    range, root_abs_exact names the first such term.
     """
     terms = seq.terms
     n_terms = len(terms)
     if n_terms < 4:
         raise InputError("growth estimation needs at least 4 terms")
-    per_n = None
-    if seq.is_integer:
-        exp, log = math.exp, math.log
-        try:
-            per_n = [0.0] + [
-                exp(log(abs(t)) / n) if t else 0.0 for n, t in enumerate(terms[1:], 1)
-            ]
-        except OverflowError:
-            pass  # the loop below names the term
-    if per_n is None:
-        per_n = [0.0] * n_terms
-        for n in range(1, n_terms):
-            t = terms[n]
-            if t != 0:
-                per_n[n] = root_abs_exact(t, n, f"a_{n}")
+    exp = math.exp
+    try:
+        per_n = [0.0] + [
+            exp(log_abs_exact(t) / n) if t else 0.0 for n, t in enumerate(terms[1:], 1)
+        ]
+    except OverflowError:
+        for n, t in enumerate(terms[1:], 1):
+            if t:
+                root_abs_exact(t, n, f"a_{n}")
+        raise  # not reached: the term that overflowed above raises here
     tail_start = (n_terms + 1) // 2  # ceil(N/2)
     tail_sup = max(per_n[tail_start:], default=0.0)
     return GrowthReport(tail_sup, tuple(per_n), tail_start)

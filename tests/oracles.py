@@ -13,7 +13,8 @@ integer synthetic division that splits x = 1 off for the poles.  The
 routines below are the direct methods those replaced: Berlekamp-Massey over the rationals and a Gauss-Jordan
 solve over the rationals for every candidate recurrence order, Gaussian
 elimination over the rationals, a fraction-free Bareiss elimination with
-row pivoting for every Hankel order, a conjugation by schoolbook matrix
+row pivoting for every Hankel order, one elimination modulo a prime for
+every leading minor at once, a conjugation by schoolbook matrix
 products for every order,
 explicit signed-binomial sums, the top-down difference rows that stop at
 the first all-zero row, an iterated-difference loop, synthetic
@@ -139,6 +140,77 @@ def bareiss_det(rows: list[list[int]]) -> int:
             mi[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def det_mod(rows: list[list[int]], p: int) -> int:
+    """Determinant modulo the prime p, by elimination with row pivoting."""
+    m = [row[:] for row in rows]
+    n, det = len(m), 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            det = -det
+        det = det * m[k][k] % p
+        inv = pow(m[k][k], -1, p)
+        for i in range(k + 1, n):
+            f = m[i][k] * inv % p
+            if f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[k])]
+    return det % p
+
+
+def rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank modulo the prime p of a square matrix."""
+    m = [row[:] for row in rows]
+    rank = 0
+    for col in range(len(m)):
+        pivot_row = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] * inv % p
+            if f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def hankel_minors_mod(terms: list[int], order: int, p: int) -> list[int]:
+    """det H_1 .. det H_order modulo the prime p, where H_n is the n x n
+    Hankel matrix with entry (i, j) = terms[i + j].
+
+    One elimination without pivoting yields every leading minor as a
+    product of pivots.  At the first zero pivot, after k steps, the rest
+    is the Schur complement S: det H_{k+j} = det H_k * det S_j, and
+    det S_j = 0 once j exceeds the rank of S, so only j up to that rank
+    (the recurrence order, on rational input) needs a determinant of its
+    own.  Nothing here is shared with the remainder sequence.
+    """
+    m = [[terms[i + j] % p for j in range(order)] for i in range(order)]
+    minors, det = [], 1
+    for k in range(order):
+        pivot = m[k][k]
+        if pivot == 0:
+            schur = [row[k:] for row in m[k:]]
+            rank = rank_mod(schur, p)
+            return minors + [
+                det * det_mod([row[:j] for row in schur[:j]], p) % p if j <= rank else 0
+                for j in range(1, order - k + 1)
+            ]
+        det = det * pivot % p
+        minors.append(det)
+        inv = pow(pivot, -1, p)
+        mk = m[k]
+        for i in range(k + 1, order):
+            f = m[i][k] * inv % p
+            if f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], mk)]
+    return minors
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

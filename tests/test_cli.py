@@ -16,6 +16,7 @@ from pseudopoly.cli import (
     CONGRUENCE_TERMS_LIMIT,
     GEN_TERMS_LIMIT,
     INVARIANCE_TERMS_LIMIT,
+    LEJA_POINTS_LIMIT,
     TRANSFORM_TERMS_LIMIT,
     run_cli,
 )
@@ -380,6 +381,19 @@ class TestThetaAndCapacity:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "exceeds the limit" in captured.err
+
+    def test_leja_points_limit_is_accepted_and_one_past_it_is_not(self, capsys):
+        argv = ["capacity", "estimate", "--endpoints", "1", "--leja-points"]
+        assert run_cli([*argv, str(LEJA_POINTS_LIMIT)]) == 0
+        assert json.loads(capsys.readouterr().out)["leja_points"] == LEJA_POINTS_LIMIT
+        assert run_cli([*argv, str(LEJA_POINTS_LIMIT + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --leja-points {LEJA_POINTS_LIMIT + 1} exceeds the limit {LEJA_POINTS_LIMIT}\n"
+        )
+        assert run_cli(["capacity", "estimate", "--help"]) == 0
+        assert f"(at most {LEJA_POINTS_LIMIT})" in capsys.readouterr().out
 
 
 class TestAuditCommand:

@@ -138,8 +138,8 @@ class TestGrowthRate:
         [Fraction(1, 3), -7, 0, Fraction(10**300, 7), 3**80],
     ])
     def test_roots_are_root_abs_exact(self, terms):
-        # an integer prefix takes its roots from one comprehension, a
-        # rational one term by term: the same floats either way
+        # int and Fraction terms alike take their roots from one
+        # comprehension of root_abs_exact's expression: the same floats
         per_n = growth_rate(ExactSequence.of(terms)).per_n
         assert per_n == tuple(
             [0.0] + [root_abs_exact(t, n, "") if t else 0.0 for n, t in enumerate(terms[1:], 1)]

@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     cap_est.add_argument("--endpoints", required=True)
     cap_est.add_argument(
         "--leja-points", type=int, default=64,
-        help=f"number of Leja points (at most {LEJA_POINTS_LIMIT})",
+        help=f"number of Leja points, at least 5 (at most {LEJA_POINTS_LIMIT})",
     )
     cap_est.add_argument(
         "--discretization", type=int, default=2048,

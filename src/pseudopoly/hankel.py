@@ -233,13 +233,16 @@ def _leading_minors(values: list[int], n: int) -> tuple[list[int], list[int] | N
 
 
 def _clear_denominators(terms) -> tuple[list[int], int]:
-    """The integers D*a for the lcm D of the terms' denominators, and D."""
+    """The integers D*a for the lcm D of the terms' denominators, and D;
+    integer terms as they are, with D = 1."""
     scale = math.lcm(*(t.denominator for t in terms))
+    if scale == 1:
+        return list(terms), 1
     return [t.numerator * (scale // t.denominator) for t in terms], scale
 
 
-# (sequence, its terms times D, the lcm D of their denominators or None for
-# an integer sequence, then the minors and the recurrence denominator of one
+# (sequence, its terms times D, the lcm D of their denominators, 1 for an
+# integer sequence, then the minors and the recurrence denominator of one
 # remainder sequence at order n).  It is replaced whole and never edited, so
 # concurrent callers stay correct; the first entry holds no sequence.
 _memo: tuple = (None, None, None, [], None)
@@ -252,10 +255,7 @@ def _remainder_sequence(seq: ExactSequence, n: int) -> tuple:
     global _memo
     memo = _memo
     if memo[0] is not seq or len(memo[3]) < n:
-        if seq.is_integer:
-            values, scale = list(seq.terms), None
-        else:
-            values, scale = _clear_denominators(seq.terms)
+        values, scale = _clear_denominators(seq.terms)
         memo = (seq, values, scale, *_leading_minors(values, n))
         _memo = memo
     return memo
@@ -282,7 +282,7 @@ def hankel_determinant(seq: ExactSequence, n: int) -> Exact:
             )
         _, _, scale, minors, _ = _remainder_sequence(seq, n)
     det = minors[n - 1]
-    return det if scale is None else Fraction(det, scale**n)
+    return det if scale == 1 else Fraction(det, scale**n)
 
 
 def padic_valuation(x: int, p: int) -> int | float:
@@ -294,14 +294,10 @@ def padic_valuation(x: int, p: int) -> int | float:
     return _exact_valuation(x, p)
 
 
-def _exact_valuation(value: Exact, p: int) -> int | float:
-    """padic_valuation of an int or a Fraction, for a p known to be prime."""
+def _exact_valuation(value: int, p: int) -> int | float:
+    """padic_valuation of an int, for a p known to be prime."""
     if value == 0:
         return math.inf
-    if type(value) is not int and isinstance(value, Fraction):
-        return _exact_valuation(value.numerator, p) - _exact_valuation(
-            value.denominator, p
-        )
     # v = 0 and v = 1, the usual answers, take one division each
     x, remainder = divmod(value, p)
     if remainder:
@@ -346,12 +342,14 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
     A prime p <= n - 1 is required to divide det H_n to the exponent n - p;
     the required divisor, the product of those p^(n - p), divides det iff
     every v_p(det) >= n - p.  A zero determinant has every valuation
-    math.inf and divides.  A nonzero int determinant's one division by the
-    required divisor decides ``divisible``, and the valuations climb the
-    quotient, v_p = n - p + v_p(quotient), when it divides, else the
-    determinant.  Only the primes of that number's gcd with P_(n-1) are
-    climbed, the others have v_p = 0 in it.  A Fraction climbs every prime
-    from p.  Row 1's growth |a_0| needs no determinant, so it is checked
+    math.inf and divides.  Every other row, int or Fraction, follows one
+    rule on det = num / den in lowest terms (den = 1 for an int): the one
+    division of num by the required divisor decides ``divisible``, since
+    every prime it holds then divides num and so not den; the valuations
+    climb the quotient, v_p = n - p + v_p(quotient), when it divides, else
+    num, and a prime of den reads -v_p(den).  Only the primes of one gcd of
+    that number times den with P_(n-1) are climbed, the others have
+    v_p = 0.  Row 1's growth |a_0| needs no determinant, so it is checked
     before the remainder sequence runs.
     """
     if n_max < 0:
@@ -376,24 +374,21 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
         if det == 0:
             valuations = tuple([(p, n - p, inf) for p in below])
             divisible, growth = True, None
-        elif type(det) is int:
+        else:
+            num, den = det.numerator, det.denominator
             try:  # root_abs_exact's expression, so the same float
-                growth = exp(log(abs(det)) / (n * n))
+                growth = exp((log(abs(num)) - log(den)) / (n * n))
             except OverflowError:
                 growth = root_abs_exact(det, n * n, f"det H_{n}")
-            quotient, remainder = divmod(det, required_divisor)
+            quotient, remainder = divmod(num, required_divisor)
             divisible = not remainder
-            climbed = quotient if divisible else det
-            shared = gcd(climbed, primorial[n - 1])
+            climbed = quotient if divisible else num
+            shared = gcd(climbed * den, primorial[n - 1])
             valuations = tuple([
-                (p, n - p, (n - p if divisible else 0)
-                 + (0 if shared % p else _exact_valuation(climbed, p)))
+                (p, n - p, (n - p if divisible else 0) + (0 if shared % p else (
+                    _exact_valuation(climbed, p) or -_exact_valuation(den, p))))
                 for p in below
             ])
-        else:
-            growth = root_abs_exact(det, n * n, f"det H_{n}")
-            valuations = tuple([(p, n - p, _exact_valuation(det, p)) for p in below])
-            divisible = all(actual >= required for _, required, actual in valuations)
         records.append(record(
             HankelRecord, (n, det, required_divisor, valuations, divisible, growth)
         ))
@@ -513,5 +508,5 @@ def detect_rationality(
         # order = n - zero_run, so 2 * order + window <= 2n - 1 <= N
         _, values, scale, _, den = _remainder_sequence(seq, n)
         if den is not None:
-            function = _reconstruct(seq.terms, values, scale or 1, den)
+            function = _reconstruct(seq.terms, values, scale, den)
     return RationalityDetection(function, det_table, zero_run, window)

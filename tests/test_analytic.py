@@ -204,6 +204,17 @@ class TestTransfiniteDiameterEstimate:
             estimate = estimate_transfinite_diameter(hedgehog, 64, 2048)
             assert estimate <= dubinin_bound(hedgehog) + 0.02
 
+    def test_few_leja_points_stay_below_the_bound(self):
+        # from 5 points the fitted estimate of a regular hedgehog is below
+        # its sharp bound (the raw mean of 2-4 points was up to 4 times it)
+        for r in range(1, 5):
+            hedgehog = Hedgehog(
+                tuple(cmath.exp(2j * math.pi * k / r) for k in range(r))
+            )
+            for m in range(5, 13):
+                estimate = estimate_transfinite_diameter(hedgehog, m, 2048)
+                assert estimate <= dubinin_bound(hedgehog)
+
     def test_regular_spike_configurations_approach_equality(self):
         for r in range(1, 5):
             hedgehog = Hedgehog(
@@ -228,6 +239,8 @@ class TestTransfiniteDiameterEstimate:
         hedgehog = Hedgehog((1 + 0j,))
         with pytest.raises(InputError):
             estimate_transfinite_diameter(hedgehog, 1, 2048)
+        with pytest.raises(InputError, match="at least 5 Leja points"):
+            estimate_transfinite_diameter(hedgehog, 4, 2048)
         with pytest.raises(InputError):
             estimate_transfinite_diameter(hedgehog, 64, 8)
         with pytest.raises(InputError):

@@ -339,21 +339,40 @@ class TestThetaAndCapacity:
         assert captured.err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "argv",
+        ("argv", "code", "message"),
         [
-            ["bound", "--endpoints", "5e-324"],
-            ["estimate", "--endpoints", "5e-324", "--leja-points", "2",
-             "--discretization", "16"],
+            (["bound", "--endpoints", "5e-324"], 1, "numeric failure:"),
+            # an estimate needs 5 Leja points, and a bound underflows only
+            # for one or two spikes within 2 subnormal ulps of the origin,
+            # which hold at most 4 distinct doubles: no accepted estimate
+            # request reaches it
+            (["estimate", "--endpoints", "5e-324", "--leja-points", "2",
+              "--discretization", "16"], 2, "error:"),
         ],
         ids=["bound", "estimate"],
     )
-    def test_bound_that_underflows_to_zero_is_a_numeric_failure(self, argv, capsys):
+    def test_bound_that_underflows_to_zero_is_a_numeric_failure(
+        self, argv, code, message, capsys
+    ):
         # 5e-324 / 4 rounds to 0, which used to be printed as the bound,
         # below the estimate of 5e-324 beside it
-        assert run_cli(["capacity", *argv]) == 1
+        assert run_cli(["capacity", *argv]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("numeric failure:")
+        assert captured.err.startswith(message)
+
+    @pytest.mark.parametrize("points", ["2", "3", "4"])
+    def test_fewer_than_five_leja_points_is_input_error(self, points, capsys):
+        # the raw mean they gave was up to 4 times the bound beside it
+        argv = ["capacity", "estimate", "--endpoints", "1", "--leja-points", points,
+                "--discretization", "16"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need at least 5 Leja points\n"
+        assert run_cli([*argv[:-3], "5", "--discretization", "16"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["estimate"] <= report["bound"]
 
     def test_bad_endpoint_is_input_error(self, capsys):
         assert run_cli(["capacity", "bound", "--endpoints", "1,spam"]) == 2

@@ -102,11 +102,12 @@ class ExactSequence:
     floating point is ever accepted.  The terms' types are checked once, on
     construction, which also stores an integral Fraction as its int and
     sets the ``is_integer`` slot: whether every term is an int, as
-    ``all(isinstance(t, int) for t in terms)`` says.
+    ``all(isinstance(t, int) for t in terms)`` says.  The private slot
+    ``_hankel`` holds what hankel.py's remainder sequence gave, or None.
     """
 
     # not a tuple: len, [] and iter read the terms
-    __slots__ = ("terms", "is_integer")
+    __slots__ = ("terms", "is_integer", "_hankel")
 
     def __init__(self, terms: Iterable[Exact]):
         terms = tuple(terms)
@@ -128,8 +129,9 @@ class ExactSequence:
             is_integer = all(isinstance(t, int) for t in terms)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "is_integer", is_integer)
+        object.__setattr__(self, "_hankel", None)
 
-    def __setattr__(self, name, *value):  # immutable: the Hankel memo keys on identity
+    def __setattr__(self, name, *value):  # immutable: the Hankel facts follow the terms
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__

@@ -11,12 +11,12 @@ prefix decides: a zero minor is a degree jump of that sequence, not a
 special case.  A rational prefix is first scaled by the lcm D of its
 denominators, since det H_n(a) = det H_n(D a) / D^n.
 
-A one-slot memo holds everything one remainder sequence of the last
-sequence (compared by identity) gives: its cleared terms D a, the scale D,
-the minors and the recurrence denominator.  A caller that asks for the
-orders from the top down pays one remainder sequence per prefix.  An audit
-runs the detection, which asks at the largest order, before its table,
-which reads the same entry at any n_max, so it runs the sequence once.
+Each ExactSequence keeps in a private slot what one remainder sequence of
+its terms gives: the cleared terms D a, the scale D, the minors and the
+recurrence denominator.  A caller that asks for the orders from the top
+down pays one remainder sequence per sequence, however it interleaves
+them.  An audit runs the detection, which asks at the largest order,
+before its table, which reads the same facts at any n_max.
 
 Rationality detection uses the classical criterion that a power series is
 rational iff almost all of its Hankel determinants vanish (Kronecker 1881),
@@ -241,37 +241,30 @@ def _clear_denominators(terms) -> tuple[list[int], int]:
     return [t.numerator * (scale // t.denominator) for t in terms], scale
 
 
-# (sequence, its terms times D, the lcm D of their denominators, 1 for an
-# integer sequence, then the minors and the recurrence denominator of one
-# remainder sequence at order n).  It is replaced whole and never edited, so
-# concurrent callers stay correct; the first entry holds no sequence.
-_memo: tuple = (None, None, None, [], None)
-
-
 def _remainder_sequence(seq: ExactSequence, n: int) -> tuple:
-    """The memo entry of ``seq`` at order n or above, running the remainder
-    sequence again at order n only when the memo holds another sequence
-    object or a smaller order."""
-    global _memo
-    memo = _memo
-    if memo[0] is not seq or len(memo[3]) < n:
+    """``seq``'s facts from one remainder sequence at order n or above: its
+    terms times the lcm D of their denominators, D, the minors and the
+    recurrence denominator.  They live in its ``_hankel`` slot, replaced
+    whole and never edited, and the remainder sequence runs again, at
+    order n, only when the slot holds a smaller order."""
+    held = seq._hankel
+    if held is None or len(held[2]) < n:
         values, scale = _clear_denominators(seq.terms)
-        memo = (seq, values, scale, *_leading_minors(values, n))
-        _memo = memo
-    return memo
+        held = (values, scale, *_leading_minors(values, n))
+        object.__setattr__(seq, "_hankel", held)
+    return held
 
 
 def hankel_determinant(seq: ExactSequence, n: int) -> Exact:
     """Exact determinant of the order-n Hankel matrix (order 0 gives 1).
 
-    Answered from the memo of ``seq``'s remainder sequence, which holds its
-    leading minors and its recurrence; a larger order or another sequence
-    object runs the remainder sequence again at order n.  A memo entry at
-    order m was made for a prefix of at least 2m - 1 terms, so an order
-    1 .. m that it holds needs no check.
+    Read off the remainder-sequence facts that ``seq`` holds, its leading
+    minors and its recurrence; a larger order than they reach runs the
+    remainder sequence again at order n.  Facts at order m were made from
+    the 2m - 1 terms that ``seq`` has, so an order 1 .. m needs no check.
     """
-    held, _, scale, minors, _ = _memo
-    if held is not seq or not 0 < n <= len(minors):
+    held = seq._hankel
+    if held is None or not 0 < n <= len(held[2]):
         if n == 0:
             return 1
         if n < 0:
@@ -280,7 +273,8 @@ def hankel_determinant(seq: ExactSequence, n: int) -> Exact:
             raise InputError(
                 f"order {n} needs a prefix of length {2 * n - 1}, have {len(seq)}"
             )
-        _, _, scale, minors, _ = _remainder_sequence(seq, n)
+        held = _remainder_sequence(seq, n)
+    _, scale, minors, _ = held
     det = minors[n - 1]
     return det if scale == 1 else Fraction(det, scale**n)
 
@@ -506,7 +500,7 @@ def detect_rationality(
     function = None
     if zero_run >= window:
         # order = n - zero_run, so 2 * order + window <= 2n - 1 <= N
-        _, values, scale, _, den = _remainder_sequence(seq, n)
+        values, scale, _, den = _remainder_sequence(seq, n)
         if den is not None:
             function = _reconstruct(seq.terms, values, scale, den)
     return RationalityDetection(function, det_table, zero_run, window)

@@ -47,6 +47,7 @@ TABLE = PROPS + "test_table_and_detection_match_eliminations_by_order"
 TABLE_ROWS = PROPS + "test_table_rows_match_eliminations_by_order"
 ONE_PASS = PROPS + "test_one_pass_steps_match_pseudo_division"
 HANKEL = "pseudopoly/hankel.py"
+FACTS = "tests/test_hankel.py::TestRemainderSequenceFacts::"
 
 MUTANTS = (
     # the one row rule for int and Fraction determinants
@@ -168,6 +169,22 @@ MUTANTS = (
             "tests/test_cli.py::TestThetaAndCapacity::test_fewer_than_five_leja_points_is_input_error",
         ),
         "4 Leja points, where the half-size fit divides by zero, are accepted",
+    ),
+    # each sequence owns its remainder-sequence facts
+    Mutant(
+        HANKEL,
+        "if held is None or len(held[2]) < n:",
+        "if held is None or len(held[2]) < n - 1:",
+        (FACTS + "test_facts_at_a_smaller_order_are_extended_once",
+         PROPS + "test_memoized_determinants_never_cross_sequences"),
+        "facts one order short of the order asked are served as they are",
+    ),
+    Mutant(
+        HANKEL,
+        '        object.__setattr__(seq, "_hankel", held)\n',
+        "",
+        (FACTS + "test_interleaved_sequences_run_once_each",),
+        "the facts are not kept, so every order runs the remainder sequence again",
     ),
 )
 

@@ -46,8 +46,9 @@ of arguments.  The audit runs its detection before its table, building the
 table's divisors from the primorials, and certifies polynomiality only
 where its verdict reads the certificate; the oracles build each divisor
 from prime powers and run the stages in their earlier order, with the
-certificate for every detected function.  The property tests compare the
-fast paths against them.
+certificate for every detected function.  The whole audit report is also
+built from the oracles alone, stage by stage.  The property tests compare
+the fast paths against them.
 """
 from __future__ import annotations
 
@@ -71,16 +72,19 @@ from pseudopoly import (
     polynomial_certificate,
 )
 from pseudopoly import formats, hankel
+from pseudopoly.analytic import singular_directions
+from pseudopoly.audit import AuditConfig, AuditReport
 from pseudopoly.core import InputError, IntPolynomial, exact_str, log_abs_exact
 from pseudopoly.hankel import (
     HankelRecord,
     InvarianceReport,
     RationalFunction,
+    RationalityDetection,
     _clear_denominators,
 )
 from pseudopoly.polyarith import degree, derivative, trim
 from pseudopoly.primes import sieve_primes
-from pseudopoly.sequences import Violation
+from pseudopoly.sequences import CongruenceReport, GrowthReport, Violation
 
 
 def hankel_rows(values: list, n: int) -> list[list]:
@@ -308,15 +312,16 @@ def recurrence_by_order_search(terms: list[Fraction], window: int) -> list[Fract
 def detect_function(seq: ExactSequence, window: int) -> RationalFunction | None:
     """The rational function that the order-by-order search detects: a
     recurrence within the order bound and ``window`` trailing zero Hankel
-    determinants, the latter by rational elimination."""
+    determinants, the latter by rational elimination and checked first."""
     terms = [Fraction(t) for t in seq.terms]
-    coeffs = recurrence_by_order_search(terms, window)
     top = max_order(seq)
-    trailing = [
+    if any(
         rational_det([[terms[i + j] for j in range(n)] for i in range(n)])
         for n in range(top - window + 1, top + 1)
-    ]
-    if coeffs is None or any(trailing):
+    ):
+        return None
+    coeffs = recurrence_by_order_search(terms, window)
+    if coeffs is None:
         return None
     return reconstruct_by_fractions(seq.terms, recurrence_denominator(coeffs))
 
@@ -609,6 +614,58 @@ def audit_verdict_by_stages(seq: ExactSequence) -> tuple[str, int | None]:
             return VERDICT_POLYNOMIAL, degree
         return VERDICT_RATIONAL_NON_POLYNOMIAL, None
     return VERDICT_UNDETERMINED, None
+
+
+def audit_report_by_oracles(
+    seq: ExactSequence, config: AuditConfig | None = None
+) -> AuditReport:
+    """``ruzsa_audit``'s whole report from the oracles: the congruences one
+    (n, m) pair at a time, with the residues of every modulus a violation
+    names, each growth root by math.log, one elimination per Hankel order
+    for the table and for the detection's evidence, the order-by-order
+    recurrence search, synthetic division by (1 - x) and the
+    iterated-difference certificate.  The singular directions are the one
+    stage it shares with the program."""
+    cfg = config or AuditConfig()
+    a = seq.integer_terms()
+    mode, length, checked, violations = congruences_by_pairs(seq)
+    moduli = sorted({v.modulus for v in violations})
+    congruence = CongruenceReport(
+        mode, length, checked, tuple((m, tuple(x % m for x in a)) for m in moduli)
+    )
+    per_n = (0.0, *(math.exp(math.log(abs(t)) / n) if t else 0.0
+                    for n, t in enumerate(a[1:], 1)))
+    tail_start = (length + 1) // 2
+    growth = GrowthReport(max(per_n[tail_start:], default=0.0), per_n, tail_start)
+    n_max = max_order(seq) if cfg.n_max is None else cfg.n_max
+    records = tuple(hankel_table_by_order(seq, n_max))
+    if not moduli and not all(r.divisible for r in records):
+        raise InternalInvariantError("congruent prefix with a non-divisible minor")
+    det_table = det_table_by_order(seq)
+    zero_run = next((i for i, d in enumerate(reversed(det_table)) if d), len(det_table))
+    function = detect_function(seq, cfg.window)
+    singularities = power_of_one_minus_x = degree = None
+    if function is not None:
+        if function.denominator.degree >= 1:
+            singularities = singular_directions(function)
+        power_of_one_minus_x = power_of_one_minus_x_by_division(
+            function.denominator.coefficients
+        )
+        if power_of_one_minus_x and not moduli:
+            degree = certificate_by_differences(a)
+    if moduli:
+        verdict = VERDICT_CONGRUENCE_VIOLATION
+    elif degree is not None:
+        verdict = VERDICT_POLYNOMIAL
+    elif function is not None:
+        verdict = VERDICT_RATIONAL_NON_POLYNOMIAL
+    else:
+        verdict = VERDICT_UNDETERMINED
+    return AuditReport(
+        length, cfg, congruence, growth, growth.tail_sup < cfg.growth_bound, records,
+        RationalityDetection(function, det_table, zero_run, cfg.window), singularities,
+        power_of_one_minus_x, verdict, degree,
+    )
 
 
 def power_of_one_minus_x_by_division(coefficients: tuple[int, ...]) -> bool:

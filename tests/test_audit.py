@@ -126,7 +126,7 @@ class TestRuzsaAudit:
 
         monkeypatch.setattr(hankel, "_leading_minors", last_minor_moved)
         with pytest.raises(InternalInvariantError, match=r"determinants at orders \[16\]"):
-            ruzsa_audit(ExactSequence.of(terms))  # a new object: the memo is not read
+            ruzsa_audit(ExactSequence.of(terms))  # a new object holds no facts yet
 
     def test_integral_fractions_audit_as_their_ints(self):
         # integral Fractions are stored as ints, so the audit, defined for

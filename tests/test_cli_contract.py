@@ -20,9 +20,10 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import event, example, given, settings
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 
+from profiles import examples
 from pseudopoly.cli import (
     CANDIDATE_LIMIT,
     GEN_TERMS_LIMIT,
@@ -33,7 +34,7 @@ from pseudopoly.cli import (
     run_cli,
 )
 
-CONTRACT = settings(max_examples=150, deadline=None, database=None)
+CONTRACT = examples(150)
 
 _sometimes = st.sampled_from([True, False, False])
 _rarely = st.sampled_from([True] + [False] * 5)

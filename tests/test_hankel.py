@@ -1,6 +1,10 @@
+import copy
 import itertools
 import math
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -26,6 +30,7 @@ from pseudopoly import (
 )
 from pseudopoly import hankel
 from pseudopoly.binomial import lower_triangular_rows
+from pseudopoly.formats import audit_json_obj, dumps
 
 FIB_5 = ExactSequence.of([0, 1, 1, 2, 3])
 
@@ -495,6 +500,105 @@ class TestDetectRationality:
     def test_insufficient_prefix_rejected(self):
         with pytest.raises(InputError):
             detect_rationality(ExactSequence.of([1, 2, 3, 4]), window=3)
+
+
+class TestRemainderSequenceFacts:
+    """Each sequence keeps what its own remainder sequence gave."""
+
+    @staticmethod
+    def counted_runs(monkeypatch):
+        runs = []
+        leading_minors = hankel._leading_minors
+        monkeypatch.setattr(hankel, "_leading_minors",
+                            lambda values, n: runs.append(n) or leading_minors(values, n))
+        return runs
+
+    def test_interleaved_sequences_run_once_each(self, monkeypatch):
+        fractions = [Fraction(t, 3) for t in fibonacci(39)]
+        expected = [[hankel_determinant(ExactSequence(terms), n) for n in range(1, 21)]
+                    for terms in (CUBIC_40, PRIMARY_40, fractions)]
+        runs = self.counted_runs(monkeypatch)
+        seqs = [ExactSequence(terms) for terms in (CUBIC_40, PRIMARY_40, fractions)]
+        dets = [[None] * 20 for _ in seqs]
+        for n in range(20, 0, -1):
+            for seq, row in zip(seqs, dets):
+                row[n - 1] = hankel_determinant(seq, n)
+        assert dets == expected
+        assert runs == [20, 20, 20]
+
+    def test_facts_survive_another_sequences_audit(self, monkeypatch):
+        seq = ExactSequence.of(PRIMARY_40)
+        report = ruzsa_audit(seq)
+        held = seq._hankel
+        ruzsa_audit(ExactSequence.of(CUBIC_40))
+        runs = self.counted_runs(monkeypatch)
+        assert ruzsa_audit(seq) == report
+        assert runs == []
+        assert seq._hankel is held
+        # equal sequences, copies and pickles hold facts of their own
+        for twin in (ExactSequence.of(PRIMARY_40), copy.copy(seq),
+                     pickle.loads(pickle.dumps(seq))):
+            assert twin == seq and twin._hankel is None
+
+    def test_facts_at_a_smaller_order_are_extended_once(self, monkeypatch):
+        seq = ExactSequence.of(PRIMARY_40)
+        expected = ruzsa_audit(ExactSequence.of(PRIMARY_40))
+        runs = self.counted_runs(monkeypatch)
+        assert hankel_table(seq, 19) == list(expected.hankel[:19])
+        assert detect_rationality(seq) == expected.rationality
+        assert hankel_table(seq, 20) == list(expected.hankel)
+        assert ruzsa_audit(seq, AuditConfig(n_max=7)).hankel == expected.hankel[:7]
+        assert runs == [19, 20]
+
+    def test_threads_sharing_sequences_get_the_serial_results(self):
+        # four threads on two cores, switching every microsecond: each
+        # audits prefixes of its own, and in every round all of them start
+        # together on one fresh shared sequence, at orders that make its
+        # facts grow while the others read them
+        rng = random.Random(33)
+        shared = [CUBIC_40[:30], PRIMARY_40, fibonacci(31), [rng.randint(-99, 99)
+                                                          for _ in range(36)]]
+        own = [[[rng.randint(-9, 9) for _ in range(24)], PRIMARY_40[: 20 + i]]
+               for i in range(4)]
+
+        def results(seq):
+            return (hankel_table(seq, 4), hankel_table(seq, max_order(seq) - 1),
+                    detect_rationality(seq),
+                    dumps(audit_json_obj(ruzsa_audit(seq, AuditConfig(n_max=6)))))
+
+        expected = {tuple(t): results(ExactSequence.of(t))
+                    for t in shared + [t for ts in own for t in ts]}
+        shared_seqs = [ExactSequence.of(t) for t in shared]
+        barrier = threading.Barrier(4, timeout=10)
+        out = {}
+
+        def work(i):
+            try:
+                got = []
+                for terms, seq in zip(shared, shared_seqs):
+                    barrier.wait()
+                    got.append((terms, results(seq)))
+                    got += [(t, results(ExactSequence.of(t))) for t in own[i]]
+                out[i] = got
+            except Exception as exc:  # reported by the assertion below
+                out[i] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for i in range(4):
+            assert not isinstance(out[i], Exception), out[i]
+            assert len(out[i]) == 3 * len(shared)
+            for terms, got in out[i]:
+                assert got == expected[tuple(terms)]
 
 
 class TestRationalFunction:

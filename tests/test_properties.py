@@ -20,7 +20,8 @@ of arguments, and the audit's verdict and degree with its stages run in
 their earlier order, the certificate computed for every detected function.
 The congruence checks are compared with the divisibility of the forward
 differences by lcm(1..k) and by the primorials, and with one difference
-per (n, m) pair.
+per (n, m) pair.  The whole audit report is compared, byte for byte, with
+one built from the oracles alone.
 """
 import cmath
 import math
@@ -29,11 +30,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from oracles import (
     audit_as_dict,
+    audit_report_by_oracles,
     audit_verdict_by_stages,
     berlekamp_massey,
     binomial_sums,
@@ -69,8 +71,10 @@ from oracles import (
     transform_by_differences,
     valuation_by_climbing,
 )
+from profiles import examples
 from pseudopoly import (
     DIRECTION_TOL,
+    AuditConfig,
     ExactSequence,
     Hedgehog,
     InputError,
@@ -113,7 +117,7 @@ from pseudopoly.polyarith import (
 )
 from pseudopoly.sequences import CongruenceReport, Violation
 
-PROPERTY = settings(max_examples=60, deadline=None, database=None)
+PROPERTY = examples(60)
 
 small_ints = st.integers(-10**6, 10**6)
 fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
@@ -1190,6 +1194,47 @@ def test_congruence_csv_matches_str_of_each_field(report):
 def test_audit_report_matches_dict_rows(terms):
     report = ruzsa_audit(ExactSequence.of(terms))
     assert dumps(audit_json_obj(report)) == json_dumps(audit_as_dict(report))
+
+
+@st.composite
+def one_term_moved(draw, base):
+    """A prefix from ``base`` with one term, anywhere, moved by -1 or 1."""
+    terms = list(draw(base))
+    terms[draw(st.integers(0, len(terms) - 1))] += draw(st.sampled_from([-1, 1]))
+    return terms
+
+
+audit_lengths = st.integers(10, 40)
+report_prefixes = st.one_of(
+    primary_or_hall(audit_lengths),  # primary and Hall
+    st.builds(
+        lambda coeffs, length: list(eval_polynomial_sequence(IntPolynomial(coeffs), length)),
+        st.lists(st.integers(-5, 5), min_size=1, max_size=6), audit_lengths,
+    ),
+    c_finite(st.integers(-3, 3)).filter(lambda terms: len(terms) >= 10),
+    zero_led.filter(lambda terms: len(terms) >= 10),
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=10, max_size=40),  # sparse
+    st.lists(small_ints, min_size=10, max_size=40),
+)
+
+
+@PROPERTY
+@given(
+    st.one_of(report_prefixes, one_term_moved(report_prefixes)),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_audit_report_matches_oracles_byte_for_byte(terms, window, data):
+    # a second n_max reads the facts the sequence already holds, and an
+    # equal copy holds none
+    seq = ExactSequence.of(terms)
+    orders = st.none() | st.integers(0, max_order(seq))
+    first, second = data.draw(orders), data.draw(orders)
+    growth_bound = data.draw(st.sampled_from([math.e, 1.5, 10.0]))
+    for audited, n_max in ((seq, first), (seq, second), (ExactSequence.of(terms), first)):
+        config = AuditConfig(growth_bound, window, n_max)
+        expected = dumps(audit_json_obj(audit_report_by_oracles(audited, config)))
+        assert dumps(audit_json_obj(ruzsa_audit(audited, config))) == expected
 
 
 @st.composite

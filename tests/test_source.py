@@ -1,5 +1,6 @@
 """Checks on the source text itself: every committed mutant still names
-code that exists, and the package parses as the Python it declares."""
+code that exists, the package parses as the Python it declares, and no
+function rebinds a module global."""
 import ast
 from pathlib import Path
 
@@ -28,3 +29,13 @@ def test_each_mutant_snippet_occurs_once_in_src(mutant):
 def test_source_parses_as_python_3_10(name):
     # pyproject.toml declares requires-python >= 3.10
     ast.parse(SOURCES[name], filename=name, feature_version=(3, 10))
+
+
+def test_no_function_rebinds_a_module_global():
+    # state that a call leaves behind lives on the object it was made for
+    # (ExactSequence's Hankel facts), not in a module that every caller shares
+    offenders = [
+        name for name, text in SOURCES.items()
+        if any(isinstance(node, ast.Global) for node in ast.walk(ast.parse(text)))
+    ]
+    assert offenders == []

@@ -276,8 +276,6 @@ def estimate_transfinite_diameter(
 
 def _cluster_directions(args: list[float], tol: float) -> list[float]:
     """Distinct argument classes: chained clustering with 2*pi wraparound."""
-    if not args:
-        return []
     ordered = sorted(args)
     clusters = [[ordered[0]]]
     for a in ordered[1:]:

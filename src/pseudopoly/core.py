@@ -20,12 +20,16 @@ def log_abs_exact(value: "Exact") -> float:
     return math.log(abs(value))
 
 
-def root_abs_exact(value: "Exact", k: int, what: str) -> float:
-    """|value|^(1/k) of a nonzero exact number; InputError names ``what``."""
+def root_abs_exact(value: "Exact", k: int, name: str, index: int) -> float:
+    """|value|^(1/k) of a nonzero exact number, the package's one growth rule.
+
+    |a_n|^(1/n) and |det H_n|^(1/n^2) both come from here; a root past the
+    float range raises InputError naming |name_index|.
+    """
     try:
         return math.exp(log_abs_exact(value) / k)
     except OverflowError:
-        raise InputError(f"|{what}|^(1/{k}) is past the float range") from None
+        raise InputError(f"|{name}_{index}|^(1/{k}) is past the float range") from None
 
 
 def exact_str(value: "Exact") -> str:

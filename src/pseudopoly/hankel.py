@@ -343,8 +343,9 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
     climb the quotient, v_p = n - p + v_p(quotient), when it divides, else
     num, and a prime of den reads -v_p(den).  Only the primes of one gcd of
     that number times den with P_(n-1) are climbed, the others have
-    v_p = 0.  Row 1's growth |a_0| needs no determinant, so it is checked
-    before the remainder sequence runs.
+    v_p = 0.  A nonzero row's growth is root_abs_exact(det, n^2), whose
+    error names the order; row 1's growth |a_0| needs no determinant, so it
+    is checked before the remainder sequence runs.
     """
     if n_max < 0:
         raise InputError("n_max must be >= 0")
@@ -353,10 +354,10 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
             f"order {n_max} needs a prefix of length {2 * n_max - 1}, have {len(seq)}"
         )
     if n_max and seq.terms[0]:
-        root_abs_exact(seq.terms[0], 1, "det H_1")
+        root_abs_exact(seq.terms[0], 1, "det H", 1)
     is_prime_flag = sieve_flags(max(0, n_max - 1))
     primorial = primorials(max(0, n_max - 1))
-    exp, gcd, inf, log = math.exp, math.gcd, math.inf, math.log
+    gcd, inf = math.gcd, math.inf
     record = tuple.__new__
     required_divisor = 1
     below = []  # the primes <= n - 1
@@ -370,10 +371,7 @@ def hankel_table(seq: ExactSequence, n_max: int) -> list[HankelRecord]:
             divisible, growth = True, None
         else:
             num, den = det.numerator, det.denominator
-            try:  # root_abs_exact's expression, so the same float
-                growth = exp((log(abs(num)) - log(den)) / (n * n))
-            except OverflowError:
-                growth = root_abs_exact(det, n * n, f"det H_{n}")
+            growth = root_abs_exact(det, n * n, "det H", n)
             quotient, remainder = divmod(num, required_divisor)
             divisible = not remainder
             climbed = quotient if divisible else num

@@ -6,8 +6,6 @@ from .core import InputError
 
 def sieve_flags(limit: int) -> bytearray:
     """Byte flags of length ``limit + 1`` with ``flags[n] == 1`` iff n is prime."""
-    if limit < 0:
-        return bytearray()
     flags = bytearray([1]) * (limit + 1)
     flags[: min(2, limit + 1)] = b"\x00" * min(2, limit + 1)
     p = 2

@@ -20,7 +20,6 @@ from .core import (
     InputError,
     InternalInvariantError,
     as_exact_int,
-    log_abs_exact,
     root_abs_exact,
 )
 from .primes import sieve_primes
@@ -121,25 +120,17 @@ def growth_rate(seq: ExactSequence) -> GrowthReport:
     """Per-term |a_n|^(1/n) and the max over the upper half of the prefix.
 
     ``per_n[0]`` is a placeholder 0.0 (no n-th root is defined at n = 0);
-    terms equal to zero also report 0.0.  Every root, of an int or a
-    Fraction term, comes from one comprehension of root_abs_exact's own
-    expression, so the floats are the same; when a root is past the float
-    range, root_abs_exact names the first such term.
+    terms equal to zero also report 0.0.  Every other root, of an int or a
+    Fraction term, is root_abs_exact(a_n, n), which names the first term
+    whose root is past the float range.
     """
     terms = seq.terms
     n_terms = len(terms)
     if n_terms < 4:
         raise InputError("growth estimation needs at least 4 terms")
-    exp = math.exp
-    try:
-        per_n = [0.0] + [
-            exp(log_abs_exact(t) / n) if t else 0.0 for n, t in enumerate(terms[1:], 1)
-        ]
-    except OverflowError:
-        for n, t in enumerate(terms[1:], 1):
-            if t:
-                root_abs_exact(t, n, f"a_{n}")
-        raise  # not reached: the term that overflowed above raises here
+    per_n = [0.0] + [
+        root_abs_exact(t, n, "a", n) if t else 0.0 for n, t in enumerate(terms[1:], 1)
+    ]
     tail_start = (n_terms + 1) // 2  # ceil(N/2)
     tail_sup = max(per_n[tail_start:], default=0.0)
     return GrowthReport(tail_sup, tuple(per_n), tail_start)

@@ -67,13 +67,6 @@ MUTANTS = (
     ),
     Mutant(
         HANKEL,
-        "exp((log(abs(num)) - log(den)) / (n * n))",
-        "exp(log(abs(num)) / (n * n))",
-        (TABLE,),
-        "a Fraction row's growth ignores its denominator",
-    ),
-    Mutant(
-        HANKEL,
         "return det if scale == 1 else Fraction(det, scale**n)",
         "return Fraction(det, scale**n)",
         (TABLE,),
@@ -138,19 +131,31 @@ MUTANTS = (
         (TABLE_ROWS,),
         "a row that does not divide is filtered by its quotient's primes",
     ),
+    # each sequence owns its remainder-sequence facts
     Mutant(
         HANKEL,
-        "exp((log(abs(num)) - log(den)) / (n * n))",
-        "(abs(num) / den) ** (1 / (n * n))",
-        (TABLE,),
-        "a row's growth is not root_abs_exact's float",
+        "if held is None or len(held[2]) < n:",
+        "if held is None or len(held[2]) < n - 1:",
+        (FACTS + "test_facts_at_a_smaller_order_are_extended_once",
+         PROPS + "test_memoized_determinants_never_cross_sequences"),
+        "facts one order short of the order asked are served as they are",
     ),
     Mutant(
-        "pseudopoly/sequences.py",
-        "exp(log_abs_exact(t) / n) if t",
-        "abs(t) ** (1 / n) if t",
-        ("tests/test_sequences.py::TestGrowthRate::test_roots_are_root_abs_exact",),
-        "a growth root is not root_abs_exact's float",
+        HANKEL,
+        '        object.__setattr__(seq, "_hankel", held)\n',
+        "",
+        (FACTS + "test_interleaved_sequences_run_once_each",),
+        "the facts are not kept, so every order runs the remainder sequence again",
+    ),
+    # the one growth rule, |x|^(1/k) = exp(log|x| / k)
+    Mutant(
+        "pseudopoly/core.py",
+        "math.log(abs(value.numerator)) - math.log(value.denominator)",
+        "math.log(abs(value.numerator))",
+        ("tests/test_hankel.py::TestNormalizedDetGrowth::"
+         "test_hilbert_type_sequence_matches_closed_form",
+         "tests/test_acceptance.py::test_criterion_07_capacity_witness"),
+        "a Fraction's growth root ignores its denominator",
     ),
     Mutant(
         "pseudopoly/formats.py",
@@ -169,22 +174,6 @@ MUTANTS = (
             "tests/test_cli.py::TestThetaAndCapacity::test_fewer_than_five_leja_points_is_input_error",
         ),
         "4 Leja points, where the half-size fit divides by zero, are accepted",
-    ),
-    # each sequence owns its remainder-sequence facts
-    Mutant(
-        HANKEL,
-        "if held is None or len(held[2]) < n:",
-        "if held is None or len(held[2]) < n - 1:",
-        (FACTS + "test_facts_at_a_smaller_order_are_extended_once",
-         PROPS + "test_memoized_determinants_never_cross_sequences"),
-        "facts one order short of the order asked are served as they are",
-    ),
-    Mutant(
-        HANKEL,
-        '        object.__setattr__(seq, "_hankel", held)\n',
-        "",
-        (FACTS + "test_interleaved_sequences_run_once_each",),
-        "the facts are not kept, so every order runs the remainder sequence again",
     ),
 )
 

@@ -21,6 +21,7 @@ from pseudopoly import (
     polya_bound_for_series,
     singular_directions,
     theta_partial_sum,
+    theta_rows,
 )
 
 
@@ -348,3 +349,17 @@ class TestSingularDirections:
         func = RationalFunction(IntPolynomial.of([0, 1]), IntPolynomial.of([1]), 1)
         with pytest.raises(InputError):
             singular_directions(func)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Hedgehog(()), "a hedgehog needs at least one endpoint"),
+    (lambda: next(theta_rows(-1)), "n_max must be >= 0"),
+    (lambda: exponent_identity_check(0), "n must be >= 1"),
+    (lambda: exponent_identity_sweep(0), "n_max must be >= 1"),
+    (lambda: theta_partial_sum(0), "n must be >= 1"),
+    (lambda: polya_bound_for_series(1.0, 0), "r must be a positive integer"),
+], ids=["no-endpoints", "theta-rows", "identity-check", "identity-sweep",
+        "theta-partial-sum", "polya-order"])
+def test_argument_out_of_range_is_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()

@@ -195,8 +195,8 @@ class TestRuzsaAudit:
         self, seq, monkeypatch
     ):
         # the table and the detection each ask hankel_determinant for every
-        # order; the shared memo makes the second ask cheap, but the calls
-        # stay visible through the module name
+        # order; the remainder-sequence facts the sequence keeps make the
+        # second ask cheap, but the calls stay visible through the module name
         calls = []
         original = hankel.hankel_determinant
 

@@ -91,6 +91,10 @@ class TestLowerTriangular:
     def test_order_one(self):
         assert lower_triangular_rows(1) == [[1]]
 
+    def test_order_zero_rejected(self):
+        with pytest.raises(InputError, match="^order must be >= 1$"):
+            lower_triangular_rows(0)
+
     def test_order_three_matches_signed_binomials(self):
         assert lower_triangular_rows(3) == [[1, 0, 0], [-1, 1, 0], [1, -2, 1]]
 

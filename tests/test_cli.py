@@ -69,6 +69,10 @@ class TestFormats:
         assert list(parse_sequence(render_sequence(seq, "lines"))) == [3, -1, 4]
         assert list(parse_sequence(render_sequence(seq, "json"))) == [3, -1, 4]
 
+    def test_render_rejects_unknown_format(self):
+        with pytest.raises(InputError, match="^unknown sequence format 'xml'$"):
+            render_sequence(ExactSequence.of([3, -1, 4]), "xml")
+
     def test_polynomial_round_trip(self):
         poly = IntPolynomial.of([2, -7, 0, 1])
         assert parse_polynomial(render_polynomial(poly)) == poly
@@ -488,6 +492,27 @@ class TestErrorPaths:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv,stdin,message",
+        [
+            (["check", "congruences"], "[1,",
+             "bad JSON sequence: Expecting value: line 1 column 4 (char 3)"),
+            (["check", "congruences"], "[]", "a sequence needs at least one term"),
+            (["check", "congruences"], "5", "need at least 2 terms to check congruences"),
+            (["gen", "poly", "--coeffs", "{}", "--n-max", "3"], "",
+             "polynomial must be a JSON array of decimal strings"),
+            (["capacity", "bound", "--endpoints", ","], "", "no endpoints given"),
+        ],
+        ids=["bad-json", "empty-sequence", "one-term", "coeffs-not-an-array", "no-endpoints"],
+    )
+    def test_malformed_input_is_one_error_line(self, argv, stdin, message, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_line_numbers_count_leading_blank_lines(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("\n\n1\n2\n+3\n"))

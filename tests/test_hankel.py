@@ -31,6 +31,7 @@ from pseudopoly import (
 from pseudopoly import hankel
 from pseudopoly.binomial import lower_triangular_rows
 from pseudopoly.formats import audit_json_obj, dumps
+from pseudopoly.primes import is_prime
 
 FIB_5 = ExactSequence.of([0, 1, 1, 2, 3])
 
@@ -154,6 +155,10 @@ class TestHankelDeterminant:
             )
             assert hankel_determinant(ExactSequence.of(terms), n) == expected
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(InputError, match="^order must be >= 0$"):
+            hankel_determinant(FIB_5, -1)
+
     def test_large_entries_stay_exact(self):
         terms = [10**40 + k for k in range(9)]
         det = hankel_determinant(ExactSequence.of(terms), 5)
@@ -185,6 +190,16 @@ class TestPadicValuation:
             p = rng.choice([2, 3, 5, 7, 11])
             v = padic_valuation(x, p)
             assert x % p**v == 0 and x % p ** (v + 1) != 0
+
+
+@pytest.mark.parametrize("n, expected", [(1, False), (2, True), (9, False), (97, True)])
+def test_is_prime_small_cases(n, expected):
+    assert is_prime(n) is expected
+
+
+def test_is_prime_rejects_a_string():
+    with pytest.raises(InputError, match="^primality is defined for ints$"):
+        is_prime("3")
 
 
 class TestHankelTable:
@@ -233,14 +248,21 @@ class TestHankelTable:
         with pytest.raises(InputError, match=r"^\|det H_1\|\^\(1/1\) is past the float range$"):
             hankel_table(seq, 30)
 
-    @pytest.mark.parametrize("second", [10**700, Fraction(10**700, 3)])
-    def test_later_row_growth_past_the_float_range_names_its_order(self, second):
-        # det H_2 = a_0 a_2 - a_1^2 is about 10^1400, and its fourth root
-        # about 10^350; an int row computes it inline, a Fraction row by
-        # root_abs_exact
-        seq = ExactSequence.of([1, second, 1])
-        with pytest.raises(InputError, match=r"^\|det H_2\|\^\(1/4\) is past the float range$"):
-            hankel_table(seq, 2)
+    @pytest.mark.parametrize("terms, n", [
+        pytest.param([1, 10**700, 1], 2, id=str(10**700)),
+        pytest.param([1, Fraction(10**700, 3), 1], 2, id="second1"),
+        pytest.param([1, 0, 1, 0, 10**3000], 3, id="order3"),
+    ])
+    def test_later_row_growth_past_the_float_range_names_its_order(self, terms, n):
+        # det H_2 = a_0 a_2 - a_1^2 is about 10^1400 for the first two, and
+        # its fourth root about 10^350; the third has det H_2 = 1 and
+        # det H_3 = 10^3000 - 1, whose ninth root is about 10^333.  Every
+        # row, int or Fraction, takes its root from root_abs_exact, whose
+        # error names the order
+        with pytest.raises(
+            InputError, match=rf"^\|det H_{n}\|\^\(1/{n * n}\) is past the float range$"
+        ):
+            hankel_table(ExactSequence.of(terms), n)
 
 
 class TestTransformInvariance:
@@ -501,6 +523,10 @@ class TestDetectRationality:
         with pytest.raises(InputError):
             detect_rationality(ExactSequence.of([1, 2, 3, 4]), window=3)
 
+    def test_window_must_be_positive(self):
+        with pytest.raises(InputError, match="^window must be >= 1$"):
+            detect_rationality(FIB_5, 0)
+
 
 class TestRemainderSequenceFacts:
     """Each sequence keeps what its own remainder sequence gave."""
@@ -602,6 +628,10 @@ class TestRemainderSequenceFacts:
 
 
 class TestRationalFunction:
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(InputError, match="^denominator must be nonzero$"):
+            RationalFunction(IntPolynomial.of([1]), IntPolynomial(()), 0)
+
     def test_canonical_form_enforced(self):
         with pytest.raises(InputError):
             RationalFunction(IntPolynomial.of([2]), IntPolynomial.of([2, -2]), 1)
@@ -622,6 +652,15 @@ class TestRationalFunction:
         func = RationalFunction(IntPolynomial.of([0, 1]), IntPolynomial.of([1, -1, -1]), 2)
         assert str(func.numerator) == "x"
         assert str(func.denominator) == "1 - x - x^2"
+
+    @pytest.mark.parametrize("terms, text", [
+        (fibonacci(21)[1:], "(1)/(1 - x - x^2)"),
+        ([n**3 - 7 * n + 2 for n in range(40)],
+         "(2 - 12*x + 24*x^2 - 8*x^3)/(1 - 4*x + 6*x^2 - 4*x^3 + x^4)"),
+    ], ids=["fibonacci", "cubic"])
+    def test_str_of_a_detected_function(self, terms, text):
+        # README's quick tour prints str(detection.function)
+        assert str(detect_rationality(ExactSequence.of(terms)).function) == text
 
 
 class TestNormalizedDetGrowth:

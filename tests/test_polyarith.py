@@ -157,6 +157,10 @@ class TestClearToIntPair:
         assert den.coefficients == (0, 2)
         assert num.coefficients == (-1,)
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(InputError, match="^zero denominator$"):
+            clear_to_int_pair([1], [])
+
     def test_joint_content_is_one(self):
         num, den = clear_to_int_pair([2, 4], [2])
         assert num.coefficients == (1, 2)

@@ -138,17 +138,22 @@ class TestGrowthRate:
         [Fraction(1, 3), -7, 0, Fraction(10**300, 7), 3**80],
     ])
     def test_roots_are_root_abs_exact(self, terms):
-        # int and Fraction terms alike take their roots from one
-        # comprehension of root_abs_exact's expression: the same floats
+        # int and Fraction terms alike take their roots from root_abs_exact
         per_n = growth_rate(ExactSequence.of(terms)).per_n
         assert per_n == tuple(
-            [0.0] + [root_abs_exact(t, n, "") if t else 0.0 for n, t in enumerate(terms[1:], 1)]
+            [0.0] + [root_abs_exact(t, n, "a", n) if t else 0.0
+                     for n, t in enumerate(terms[1:], 1)]
         )
 
-    @pytest.mark.parametrize("first", [1, Fraction(1, 3)])
-    def test_a_root_past_the_float_range_names_its_term(self, first):
-        with pytest.raises(InputError, match=r"^\|a_1\|\^\(1/1\) is past the float range$"):
-            growth_rate(ExactSequence.of([first, 10**400, 3, 4]))
+    @pytest.mark.parametrize("n, terms", [
+        pytest.param(1, [1, 10**400, 3, 4], id="1"),
+        pytest.param(1, [Fraction(1, 3), 10**400, 3, 4], id="first1"),
+        pytest.param(3, [1, 2, 3, 10**1000], id="a_3"),
+        pytest.param(3, [1, 2, 3, Fraction(10**1000, 3)], id="a_3-fraction"),
+    ])
+    def test_a_root_past_the_float_range_names_its_term(self, n, terms):
+        with pytest.raises(InputError, match=rf"^\|a_{n}\|\^\(1/{n}\) is past the float range$"):
+            growth_rate(ExactSequence.of(terms))
 
 
 class TestPolynomialCertificate:
@@ -168,6 +173,10 @@ class TestPolynomialCertificate:
             coeffs = [rng.randint(-6, 6) for _ in range(deg)] + [rng.choice([-2, -1, 1, 3])]
             seq = eval_polynomial_sequence(IntPolynomial.of(coeffs), deg + 3 + rng.randint(0, 5))
             assert polynomial_certificate(seq) == deg
+
+    def test_two_terms_are_too_few(self):
+        with pytest.raises(InputError, match="^certificate needs at least 3 terms$"):
+            polynomial_certificate(ExactSequence.of([1, 2]))
 
     def test_short_prefix_withholds_certificate(self):
         # degree 3 needs at least 6 terms for two vanishing witnesses
@@ -251,6 +260,10 @@ class TestGenerateHallLike:
     def test_requires_enough_perturbation(self):
         with pytest.raises(InputError):
             generate_hall_like(3, [0])
+
+    def test_length_must_be_positive(self):
+        with pytest.raises(InputError, match="^length must be >= 1$"):
+            generate_hall_like(0, [])
 
     def test_missed_constraint_is_an_internal_error(self, monkeypatch):
         # an antidiagonal of copies of a_n hides every difference from the

@@ -1,6 +1,6 @@
 """Checks on the source text itself: every committed mutant still names
-code that exists, the package parses as the Python it declares, and no
-function rebinds a module global."""
+code that exists, the package parses as the Python it declares, no
+function rebinds a module global, and one routine makes the growth floats."""
 import ast
 from pathlib import Path
 
@@ -39,3 +39,32 @@ def test_no_function_rebinds_a_module_global():
         if any(isinstance(node, ast.Global) for node in ast.walk(ast.parse(text)))
     ]
     assert offenders == []
+
+
+def _names_referred_to(text):
+    """Every name a module's code refers to; an attribute of a module name,
+    or a name imported from math, is written out as math.exp and so on."""
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "math." if node.module == "math" else ""
+            found.update(prefix + alias.name for alias in node.names)
+    return found
+
+
+def test_growth_floats_come_from_one_routine():
+    # every |x|^(1/k) a report prints is core.root_abs_exact's
+    # exp(log_abs_exact(x) / k); the only other exp and log are analytic's
+    # theta sum and Leja estimate, which work on floats and small ints
+    refers = {
+        name: _names_referred_to(text)
+        for name, text in SOURCES.items() if name.startswith("pseudopoly")
+    }
+    assert [n for n, r in refers.items() if "log_abs_exact" in r] == ["pseudopoly/core.py"]
+    for function in ("math.exp", "math.log"):
+        users = [n for n, r in refers.items() if function in r]
+        assert users == ["pseudopoly/analytic.py", "pseudopoly/core.py"], function
